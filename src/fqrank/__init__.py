@@ -32,7 +32,7 @@ from .harness import (MCResult, VerificationReport, brute_force_pmf,
                       odlyzko_check, submatrix_fullrank_check, tv_report,
                       zero_diag_count_check)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded", "ChainSpec", "CodimensionTooLarge", "CorankPMF",

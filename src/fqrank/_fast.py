@@ -1,30 +1,25 @@
-"""Vectorized mod-p kernels used by the samplers and the Monte Carlo harness.
+"""Vectorized elimination kernels used by the samplers and the Monte Carlo
+harness, on every field F_q.
 
-Only prime fields go through these paths; extension fields fall back to the
-generic exact routines in matrix.py.
+Elements are integer arrays with entries in [0, q); all arithmetic goes
+through Field.vec, which reduces mod p on prime fields and looks up exp/log
+tables on extension fields.  FqMatrix.rank is the scalar counterpart and the
+independent oracle these kernels are tested against.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-
-@lru_cache(maxsize=None)
-def inverse_table(p: int) -> np.ndarray:
-    """inv[a] = a^-1 mod p for a in 1..p-1 (inv[0] unused)."""
-    inv = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        inv[a] = pow(a, p - 2, p)
-    return inv
+from .field import Field, field_new
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix with entries in [0, p), by elimination mod p."""
+def rank_mod_p(mat: np.ndarray, q: int) -> int:
+    """Rank over F_q of an integer matrix with entries in [0, q), by
+    elimination (q = p on prime fields)."""
+    f = field_new(q).vec
     m = mat.copy()
     rows, cols = m.shape
-    inv = inverse_table(p)
     r = 0
     for c in range(cols):
         nz = np.nonzero(m[r:, c])[0]
@@ -33,10 +28,10 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
         piv = r + nz[0]
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r] = (m[r] * inv[m[r, c]]) % p
+        m[r] = f.mul(m[r], f.inv[m[r, c]])
         below = m[r + 1:, c]
         if below.size and np.any(below):
-            m[r + 1:] = (m[r + 1:] - np.outer(below, m[r])) % p
+            m[r + 1:] = f.sub_outer(m[r + 1:], below, m[r])
         r += 1
         if r == rows:
             break
@@ -44,41 +39,27 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
 
 
 class SpanTracker:
-    """Incremental column-span membership over F_p.
+    """Incremental column-span membership over F_q.
 
-    Maintains a fully reduced basis (RREF rows) of the span; reduce() maps a
-    vector to its residual against the basis, add() inserts a vector known to
-    be outside the span.
+    Maintains a fully reduced basis (RREF rows) of the span; add() reduces a
+    vector against the basis and inserts it if it lies outside the span.
     """
 
-    def __init__(self, n: int, p: int):
-        self.n = n
-        self.p = p
+    def __init__(self, n: int, f: Field):
+        self.f = f.vec
         self.basis = np.zeros((0, n), dtype=np.int64)
         self.pivots: list[int] = []
-        self._inv = inverse_table(p)
 
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        if not self.pivots:
-            return x % self.p
-        coeffs = x[self.pivots]
-        return (x - coeffs @ self.basis) % self.p
-
-    def contains(self, x: np.ndarray) -> bool:
-        return not np.any(self.reduce(x))
-
-    def add(self, x: np.ndarray) -> None:
-        red = self.reduce(x)
+    def add(self, x: np.ndarray) -> bool:
+        """Insert x; False, leaving the span unchanged, if x already lies in it."""
+        red = self.f.sub_dot(x, x[self.pivots], self.basis)
         nz = np.nonzero(red)[0]
         if nz.size == 0:
-            raise ValueError("vector already in span")
+            return False
         j = int(nz[0])
-        red = (red * self._inv[red[j]]) % self.p
+        red = self.f.mul(red, self.f.inv[red[j]])
         if self.pivots:
-            self.basis = (self.basis - np.outer(self.basis[:, j], red)) % self.p
+            self.basis = self.f.sub_outer(self.basis, self.basis[:, j], red)
         self.basis = np.vstack([self.basis, red[None, :]])
         self.pivots.append(j)
+        return True

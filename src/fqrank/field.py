@@ -4,7 +4,11 @@ Elements are integers in [0, q).  The base-p digits of an element are the
 coefficients of its polynomial-basis expansion, least significant digit =
 constant term.  For prime fields this is ordinary arithmetic mod p; for
 extension fields multiplication goes through log/antilog tables built once
-at construction over a fixed multiplicative generator.
+at construction over a fixed multiplicative generator, addition is XOR when
+p = 2 and goes through Zech logarithms when p is odd.
+
+Field.vec carries the same arithmetic over numpy arrays of elements; it is
+the only place where prime and extension fields take different code.
 
 The reducing modulus is the lexicographically least monic irreducible
 polynomial of degree k over F_p (compared as coefficient tuples from the
@@ -16,7 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import NotPrimePower, TooLarge
 
@@ -138,8 +144,6 @@ class Field:
         self.k = k
         if k == 1:
             self.modulus = p  # the polynomial "x - 0" is degenerate; unused
-            self._log = None
-            self._exp = None
         else:
             self.modulus = _least_irreducible(p, k)
             self._build_tables()
@@ -150,49 +154,80 @@ class Field:
         """Polynomial-basis multiplication without tables."""
         return _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
 
+    def _pow_raw(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return out
+
     def _build_tables(self) -> None:
-        q = self.q
-        # find a multiplicative generator by order testing
-        for g in range(2, q):
-            x, order = g, 1
-            while x != 1:
-                x = self._mul_raw(x, g)
-                order += 1
-            if order == q - 1:
-                break
-        else:  # pragma: no cover
-            raise AssertionError("no generator found")
-        self._exp = [0] * (2 * (q - 1))
-        self._log = [0] * q
-        x = 1
+        q, p, k = self.q, self.p, self.k
+        # g generates F_q^* iff g^((q-1)/r) != 1 for every prime r | q-1;
+        # trying g = 2, 3, ... finds the least generator
+        factors = [r for r in range(2, q) if (q - 1) % r == 0
+                   and all(r % d for d in range(2, math.isqrt(r) + 1))]
+        g = next(g for g in range(2, q)
+                 if all(self._pow_raw(g, (q - 1) // r) != 1 for r in factors))
+        # x -> g*x is F_p-linear: digit j of g*x is sum_i digit_i(x) * M[i][j]
+        # mod p, where row i of M holds the digits of g * X^i.  int32 and
+        # one q-vector at a time keep the build's peak memory near the
+        # size of the tables it makes.
+        M = [_poly_coeffs(self._mul_raw(g, p**i), p) for i in range(k)]
+        x = np.arange(q, dtype=np.int32)
+        times_g = np.zeros(q, dtype=np.int32)
+        for j in range(k):
+            acc = np.zeros(q, dtype=np.int32)
+            for i, row in enumerate(M):
+                if j < len(row) and row[j]:
+                    acc += x // p**i % p * row[j]
+            times_g += acc % p * p**j
+        step = times_g.tolist()
+        del x, times_g, acc
+        self._exp = exp = [0] * (2 * (q - 1))
+        self._log = log = [0] * q
+        e = 1
         for i in range(q - 1):
-            self._exp[i] = x
-            self._exp[i + q - 1] = x
-            self._log[x] = i
-            x = self._mul_raw(x, g)
+            exp[i] = exp[i + q - 1] = e
+            log[e] = i
+            e = step[e]
+        if p != 2:
+            # -1 = g^((q-1)/2); Zech logarithm zech[n] = log(1 + g^n), where
+            # adding 1 only changes the constant digit
+            exp_arr = np.array(exp[:q - 1], dtype=np.int64)
+            log_arr = np.array(log, dtype=np.int64)
+            neg_arr = np.zeros(q, dtype=np.int64)
+            neg_arr[exp_arr] = np.roll(exp_arr, -((q - 1) // 2))
+            self._neg = neg_arr.tolist()
+            self._zech = log_arr[exp_arr - exp_arr % p + (exp_arr % p + 1) % p].tolist()
+
+    @cached_property
+    def vec(self) -> "PrimeArrays | TableArrays":
+        """Elementwise arithmetic on integer arrays of elements."""
+        if self.k == 1:
+            return PrimeArrays(self.p)
+        return (BinaryArrays if self.p == 2 else TableArrays)(self)
 
     # -- element arithmetic --------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        p, out, mult = self.p, 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if self.p == 2:
+            return a ^ b
+        if a == 0 or b == 0:
+            return a or b
+        la, n = self._log[a], (self._log[b] - self._log[a]) % (self.q - 1)
+        if 2 * n == self.q - 1:  # g^n = -1, so b = -a
+            return 0
+        return self._exp[la + self._zech[n]]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        p, out, mult = self.p, 0, 1
-        while a:
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return a if self.p == 2 else self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -253,6 +288,92 @@ class Field:
 
     def __hash__(self) -> int:
         return hash(("Field", self.q))
+
+
+# ---------------------------------------------------------------------------
+# Array arithmetic.  Kernels that eliminate or sample whole rows at a time
+# call these through Field.vec, so the same kernel runs on every field.
+# ---------------------------------------------------------------------------
+
+class PrimeArrays:
+    """Arithmetic mod p: every operation is one fused expression reduced once."""
+
+    def __init__(self, p: int):
+        self.q = p
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """inv[a] = a^-1 for a in 1..p-1 (inv[0] unused)."""
+        p = self.q
+        return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+
+    def mul(self, a: np.ndarray, b) -> np.ndarray:
+        return (a * b) % self.q
+
+    def sub(self, a, b: np.ndarray) -> np.ndarray:
+        return (a - b) % self.q
+
+    def sub_outer(self, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x - outer(a, b)."""
+        return (x - np.outer(a, b)) % self.q
+
+    def sub_dot(self, x: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """x - c @ B."""
+        return (x - c @ B) % self.q
+
+
+class TableArrays:
+    """Arithmetic on F_{p^k}, k > 1, through exp/log tables: a*b is
+    exp[log a + log b], and a + b is a * (1 + b/a) through the Zech logarithm.
+
+    log[0] is 2(q-1), zech marks 1 + g^n = 0 with 2(q-1), and exp is zero
+    from index 2(q-1) on, so a product with a zero factor and a sum a + (-a)
+    land on 0 without a branch; add() still selects zero summands."""
+
+    def __init__(self, f: Field):
+        q = f.q
+        zero = 2 * (q - 1)
+        self.period = q - 1
+        self.log = np.array(f._log, dtype=np.int64)
+        self.log[0] = zero
+        self.exp = np.zeros(2 * zero + 1, dtype=np.int64)
+        self.exp[:zero] = f._exp
+        self.inv = self.exp[(-self.log) % (q - 1)]
+        self.inv[0] = 0
+        if f.p != 2:
+            self.neg = np.array(f._neg, dtype=np.int64)
+            self.zech = np.array(f._zech, dtype=np.int64)
+            self.zech[(q - 1) // 2] = zero  # 1 + g^((q-1)/2) = 0
+
+    def mul(self, a: np.ndarray, b) -> np.ndarray:
+        return self.exp[self.log[a] + self.log[b]]
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        la = self.log[a]
+        s = self.exp[la + self.zech[(self.log[b] - la) % self.period]]
+        return np.where(a == 0, b, np.where(b == 0, a, s))
+
+    def sub(self, a, b: np.ndarray) -> np.ndarray:
+        return self.add(a, self.neg[b])
+
+    def sub_outer(self, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x - outer(a, b)."""
+        return self.sub(x, self.mul(a[:, None], b))
+
+    def sub_dot(self, x: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """x - c @ B."""
+        for ci, row in zip(c, B):
+            x = self.sub(x, self.mul(row, ci))
+        return x
+
+
+class BinaryArrays(TableArrays):
+    """F_{2^k}: addition and subtraction are XOR."""
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a ^ b
+
+    sub = add
 
 
 @lru_cache(maxsize=None)

@@ -178,22 +178,16 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
     dists = [over.get(pos, default) for pos in positions]
     supports = [[(v, c) for v, c in enumerate(d.probs) if c] for d in dists]
     rows, cols = spec.shape
-    grid = np.array(base.to_lists(), dtype=np.int64)
-    prime = f.k == 1
+    grid = list(base.entries)
     masses: dict[int, Fraction] = {}
     for assignment in product(*supports):
         weight = Fraction(1)
         for (i, j), (v, c) in zip(positions, assignment):
             weight *= c
-            grid[i, j] = v
+            grid[i * cols + j] = v
             if mirror and i != j:
-                grid[j, i] = (-v) % f.p if (alt and prime) else \
-                    (f.neg(v) if alt else v)
-        if prime:
-            corank = rows - rank_mod_p(grid, f.p)
-        else:
-            M = FqMatrix(f, rows, cols, tuple(int(x) for x in grid.ravel()))
-            corank = rows - M.rank()
+                grid[j * cols + i] = f.neg(v) if alt else v
+        corank = rows - FqMatrix(f, rows, cols, tuple(grid)).rank()
         masses[corank] = masses.get(corank, Fraction(0)) + weight
     return _pmf(masses)
 
@@ -260,20 +254,18 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
     """Empirical P(X in V) for random codimension-d subspaces V against the
     (C/q)^(d - k_bad) bound; the first k_bad coordinates are held at 0."""
     t0 = time.perf_counter()
-    q, p = f.q, f.p
-    if f.k != 1:
-        raise InvalidSpec("odlyzko_check implemented for prime fields")
+    q = f.q
     hits = 0
     for t in range(trials):
         rng = derive_rng(seed, t)
         while True:
             basis = rng.integers(0, q, size=(n, n - d))
-            if rank_mod_p(basis, p) == n - d:
+            if rank_mod_p(basis, q) == n - d:
                 break
         x = dist.draw_array(rng, n)
         x[:k_bad] = 0
         aug = np.concatenate([basis, x[:, None]], axis=1)
-        if rank_mod_p(aug, p) == n - d:
+        if rank_mod_p(aug, q) == n - d:
             hits += 1
     emp = Fraction(hits, trials)
     bound = float(dist.C / q) ** (d - k_bad) if d >= k_bad else 1.0
@@ -302,22 +294,15 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
     if q ** (n * (n - 1) // 2) > 10**7 or q ** (n * (n + 1) // 2) > 10**8:
         raise TooLargeToEnumerate("enumeration guard exceeded")
 
-    def is_full(grid: np.ndarray, size: int) -> bool:
-        if f.k == 1:
-            return rank_mod_p(grid, f.p) == size
-        M = FqMatrix(f, size, size, tuple(int(x) for x in grid.ravel()))
-        return M.rank() == size
-
     def count_symmetric(size: int, zero_diag: bool) -> int:
         pairs = [(i, j) for i in range(size)
                  for j in range(i + (1 if zero_diag else 0), size)]
         count = 0
-        grid = np.zeros((size, size), dtype=np.int64)
+        grid = [0] * (size * size)
         for assignment in product(range(q), repeat=len(pairs)):
             for (i, j), v in zip(pairs, assignment):
-                grid[i, j] = v
-                grid[j, i] = v
-            count += is_full(grid, size)
+                grid[i * size + j] = grid[j * size + i] = v
+            count += FqMatrix(f, size, size, tuple(grid)).rank() == size
         return count
 
     # route one: PMF of the symmetric model with a fixed zero diagonal,
@@ -350,13 +335,7 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
     q = f.q
     hits = 0
     for t in range(trials):
-        A = sample_gl(n, f, seed, t)
-        if f.k == 1:
-            arr = np.array(A.to_lists(), dtype=np.int64)[:l, :k]
-            ok = rank_mod_p(arr, f.p) == k
-        else:
-            ok = A.submatrix(l, k).rank() == k
-        hits += ok
+        hits += sample_gl(n, f, seed, t).submatrix(l, k).rank() == k
     emp = hits / trials
     bound = 1 - 2 / q ** (l - k)
     slack = 3 * math.sqrt(max(emp * (1 - emp), 1e-12) / trials) + 2 / trials

@@ -19,7 +19,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -79,15 +79,20 @@ class EntryDist:
             out.append(acc)
         return tuple(out)
 
+    @cached_property
+    def _cum_array(self) -> np.ndarray:
+        return np.asarray(self._cum)
+
     def draw_array(self, rng: np.random.Generator, size) -> np.ndarray:
         u = rng.integers(0, self.denominator, size=size)
-        return np.searchsorted(np.asarray(self._cum), u, side="right").astype(np.int64)
+        return np.searchsorted(self._cum_array, u, side="right").astype(np.int64)
 
     def draw_one(self, rng: np.random.Generator) -> int:
         u = int(rng.integers(0, self.denominator))
         return bisect_right(self._cum, u)
 
 
+@lru_cache(maxsize=None)
 def uniform_entry_dist(f: Field) -> EntryDist:
     return EntryDist(tuple(Fraction(1, f.q) for _ in range(f.q)))
 
@@ -185,8 +190,13 @@ class ModelSpec:
         for d in self._all_dists():
             if d.q != f.q:
                 raise InvalidSpec("entry distribution length != q (distribution sum)")
+        rows, cols = self.shape
+        for i, j, _ in self.overrides:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise InvalidSpec("override index out of range")
+            if i == j and "alternating" in self.kind:
+                raise InvalidSpec("alternating diagonal cannot be overridden")
         if self.type_f is not None:
-            rows, cols = self.shape
             if len(self.type_f.sets) > cols:
                 raise InvalidSpec("more F sets than columns")
             for col, rset in enumerate(self.type_f.sets):
@@ -196,6 +206,8 @@ class ModelSpec:
                     v = (self.type_f.values[col][idx] if self.type_f.values else 0)
                     if not (0 <= v < f.q):
                         raise InvalidSpec("fixed value out of range")
+                    if r == col and v != 0 and "alternating" in self.kind:
+                        raise InvalidSpec("alternating diagonal must be fixed to 0")
 
     def _all_dists(self):
         out = []
@@ -317,168 +329,67 @@ def validate_conditions(spec: ModelSpec, alpha: float) -> dict:
 
 def sample(spec: ModelSpec, seed: int, trial: int = 0) -> FqMatrix:
     """One exact draw from the model; deterministic given (spec, seed, trial)."""
-    rng = derive_rng(seed, trial)
-    f = spec.field
-    if f.k == 1:
-        arr = sample_array(spec, rng)
-        return FqMatrix(f, arr.shape[0], arr.shape[1], tuple(int(x) for x in arr.ravel()))
-    return _sample_generic(spec, rng)
+    return _as_matrix(spec.field, sample_array(spec, derive_rng(seed, trial)))
 
 
 def sample_gl(n: int, f: Field, seed: int, trial: int = 0) -> FqMatrix:
     """A uniformly distributed element of GL_n(F_q), by per-column rejection."""
-    rng = derive_rng(seed, trial)
-    if f.k == 1:
-        arr = _gl_array(n, f.q, rng)
-        return FqMatrix(f, n, n, tuple(int(x) for x in arr.ravel()))
-    return _gl_generic(n, f, rng)
+    return _as_matrix(f, _gl_array(n, f, derive_rng(seed, trial)))
 
 
-def _gl_array(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    tracker = SpanTracker(n, p)
+def _as_matrix(f: Field, arr: np.ndarray) -> FqMatrix:
+    return FqMatrix(f, arr.shape[0], arr.shape[1], tuple(arr.ravel().tolist()))
+
+
+def _gl_array(n: int, f: Field, rng: np.random.Generator) -> np.ndarray:
+    tracker = SpanTracker(n, f)
     cols = []
-    for _ in range(n):
-        while True:
-            x = rng.integers(0, p, size=n)
-            if not tracker.contains(x):
-                break
-        tracker.add(x)
-        cols.append(x)
+    while len(cols) < n:
+        x = rng.integers(0, f.q, size=n)
+        if tracker.add(x):
+            cols.append(x)
     return np.stack(cols, axis=1)
 
 
 def sample_array(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    """Prime-field fast path; returns the sampled matrix as an int array."""
-    f, p = spec.field, spec.field.p
+    """One draw from the model as an integer array with entries in [0, q)."""
+    f = spec.field
     kind, n = spec.kind, spec.n
     if kind == "uniform-gl":
-        return _gl_array(n, p, rng)
+        return _gl_array(n, f, rng)
     if kind == "gl-minus-identity":
-        return (_gl_array(n, p, rng) - np.eye(n, dtype=np.int64)) % p
+        return f.vec.sub(_gl_array(n, f, rng), np.eye(n, dtype=np.int64))
     if kind == "gl-corner":
-        return _gl_array(n, p, rng)[: spec.n_prime, : spec.n_prime]
+        return _gl_array(n, f, rng)[: spec.n_prime, : spec.n_prime]
 
-    rows, cols = spec.shape
-    dist = spec.default_dist()
-    if kind in ("iid-square", "iid-rect"):
-        m = dist.draw_array(rng, (rows, cols))
+    mirrored = kind not in ("iid-square", "iid-rect")
+    alt = "alternating" in kind
+    dist = uniform_entry_dist(f) if kind.startswith("planted") else spec.default_dist()
+    if not mirrored:
+        m = dist.draw_array(rng, spec.shape)
         for i, j, d in spec.overrides:
             m[i, j] = d.draw_one(rng)
-    elif kind in ("symmetric", "planted-symmetric", "alternating", "planted-alternating"):
-        alt = "alternating" in kind
-        if kind.startswith("planted"):
-            dist = uniform_entry_dist(f)
+    else:  # draw the upper triangle and mirror it
         upper = dist.draw_array(rng, (n, n))
         for i, j, d in spec.overrides:
-            i, j = min(i, j), max(i, j)
-            upper[i, j] = d.draw_one(rng)
+            upper[min(i, j), max(i, j)] = d.draw_one(rng)
         m = np.zeros((n, n), dtype=np.int64)
-        iu = np.triu_indices(n, k=1)
+        iu = np.triu_indices(n, k=int(alt))
         m[iu] = upper[iu]
-        m.T[iu] = (-upper[iu]) % p if alt else upper[iu]
-        if not alt:
-            diag = np.arange(n)
-            m[diag, diag] = upper[diag, diag]
+        m.T[iu] = f.vec.sub(0, upper[iu]) if alt else upper[iu]
         if kind.startswith("planted"):
             m0 = spec.planted.rows
-            pl = np.array(spec.planted.to_lists(), dtype=np.int64)
-            m[:m0, :m0] = pl
-    else:  # pragma: no cover
-        raise InvalidSpec(f"unknown kind {kind!r}")
+            m[:m0, :m0] = spec.planted.to_lists()
 
     if spec.type_f is not None:
-        sym = kind in ("symmetric", "planted-symmetric")
-        alt = kind in ("alternating", "planted-alternating")
         for (r, c), v in spec.type_f.fixed_entries().items():
             m[r, c] = v
-            if sym:
-                m[c, r] = v
-            elif alt:
-                if r == c and v != 0:
-                    raise InvalidSpec("alternating diagonal must be fixed to 0")
-                m[c, r] = (-v) % p
+            if mirrored:
+                m[c, r] = f.neg(v) if alt else v
     return m
 
 
 def corank_of_sample(spec: ModelSpec, seed: int, trial: int = 0) -> int:
-    """Corank (rows - rank) of one draw; fast path for prime fields."""
-    f = spec.field
-    if f.k == 1:
-        arr = sample_array(spec, derive_rng(seed, trial))
-        return arr.shape[0] - rank_mod_p(arr, f.p)
-    M = _sample_generic(spec, derive_rng(seed, trial))
-    return M.rows - M.rank()
-
-
-# -- generic (extension field) path -------------------------------------------
-
-def _gl_generic(n: int, f: Field, rng: np.random.Generator) -> FqMatrix:
-    basis: list[FqMatrix] = []
-    cols: list[list[int]] = []
-    from .matrix import in_span
-
-    while len(cols) < n:
-        x = [int(rng.integers(0, f.q)) for _ in range(n)]
-        if cols:
-            W = FqMatrix(f, n, len(cols), tuple(v for row in zip(*cols) for v in row))
-            if in_span(W, x):
-                continue
-        elif all(v == 0 for v in x):
-            continue
-        cols.append(x)
-    ent = tuple(cols[j][i] for i in range(n) for j in range(n))
-    return FqMatrix(f, n, n, ent)
-
-
-def _sample_generic(spec: ModelSpec, rng: np.random.Generator) -> FqMatrix:
-    f = spec.field
-    kind, n = spec.kind, spec.n
-    if kind == "uniform-gl":
-        return _gl_generic(n, f, rng)
-    if kind == "gl-minus-identity":
-        A = _gl_generic(n, f, rng)
-        ent = tuple(
-            f.sub(A.get(i, j), 1 if i == j else 0) for i in range(n) for j in range(n)
-        )
-        return FqMatrix(f, n, n, ent)
-    if kind == "gl-corner":
-        return _gl_generic(n, f, rng).submatrix(spec.n_prime, spec.n_prime)
-
-    rows, cols = spec.shape
-    dist = spec.default_dist()
-    over = {(i, j): d for i, j, d in spec.overrides}
-    grid = [[0] * cols for _ in range(rows)]
-    if kind in ("iid-square", "iid-rect"):
-        for i in range(rows):
-            for j in range(cols):
-                grid[i][j] = over.get((i, j), dist).draw_one(rng)
-    else:
-        alt = "alternating" in kind
-        if kind.startswith("planted"):
-            dist = uniform_entry_dist(f)
-        for i in range(n):
-            for j in range(i if alt else i, n):
-                if alt and j == i:
-                    continue
-                d = over.get((min(i, j), max(i, j)), dist)
-                v = d.draw_one(rng)
-                grid[i][j] = v
-                if j != i:
-                    grid[j][i] = f.neg(v) if alt else v
-        if kind.startswith("planted"):
-            m0 = spec.planted.rows
-            for i in range(m0):
-                for j in range(m0):
-                    grid[i][j] = spec.planted.get(i, j)
-    if spec.type_f is not None:
-        sym = kind in ("symmetric", "planted-symmetric")
-        alt = kind in ("alternating", "planted-alternating")
-        for (r, c), v in spec.type_f.fixed_entries().items():
-            grid[r][c] = v
-            if sym:
-                grid[c][r] = v
-            elif alt:
-                if r == c and v != 0:
-                    raise InvalidSpec("alternating diagonal must be fixed to 0")
-                grid[c][r] = f.neg(v)
-    return FqMatrix.from_rows(f, grid)
+    """Corank (rows - rank) of one draw."""
+    arr = sample_array(spec, derive_rng(seed, trial))
+    return arr.shape[0] - rank_mod_p(arr, spec.field.q)

@@ -100,3 +100,14 @@ def test_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "NotPrimePower" in captured.err
+
+
+def test_version_matches_pyproject():
+    import tomllib
+    from pathlib import Path
+
+    import fqrank
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert fqrank.__version__ == tomllib.load(fh)["project"]["version"]

@@ -1,4 +1,5 @@
 import cmath
+import random
 
 import pytest
 
@@ -63,6 +64,27 @@ def test_extension_field_axioms():
         # spot-check distributivity
         for a, b, c in [(1, 2, 3), (2, 3, q - 1), (q - 1, q - 2, 1)]:
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+def _digits(a, p, k):
+    return [a // p**i % p for i in range(k)]
+
+
+def test_tables_match_polynomial_arithmetic():
+    rnd = random.Random(0)
+    for q in (4, 8, 9, 25, 27, 256, 3**10):
+        f = field_new(q)
+        for _ in range(200):
+            a = rnd.randrange(q)
+            da = _digits(a, f.p, f.k)
+            minus_a = sum(-x % f.p * f.p**i for i, x in enumerate(da))
+            b = rnd.choice([0, a, minus_a, rnd.randrange(q)])
+            db = _digits(b, f.p, f.k)
+            assert f.mul(a, b) == f._mul_raw(a, b)
+            # addition and negation are digit-wise mod p
+            assert f.add(a, b) == sum((x + y) % f.p * f.p**i
+                                      for i, (x, y) in enumerate(zip(da, db)))
+            assert f.neg(a) == minus_a
 
 
 def test_zero_inverse_raises():

@@ -62,10 +62,11 @@ def test_mc_corank_concentrates():
 
 
 def test_mc_corank_parallel_matches_serial():
-    spec = ModelSpec(kind="symmetric", field=F3, n=3)
-    serial = mc_corank(spec, 500, seed=5, threads=1)
-    parallel = mc_corank(spec, 500, seed=5, threads=3)
-    assert serial.counts == parallel.counts
+    for q in (3, 4):
+        spec = ModelSpec(kind="symmetric", field=field_new(q), n=3)
+        serial = mc_corank(spec, 500, seed=5, threads=1)
+        parallel = mc_corank(spec, 500, seed=5, threads=3)
+        assert serial.counts == parallel.counts
 
 
 def test_fg_sandwich_square_example():
@@ -88,6 +89,12 @@ def test_formula_enumeration_checks():
     assert formula_enumeration_check("iid-rect", 2, F2, m=1).passed
     assert formula_enumeration_check("symmetric", 3, F2).passed
     assert formula_enumeration_check("alternating", 3, F3).passed
+    F4 = field_new(4)
+    for n in (1, 2):
+        assert formula_enumeration_check("iid-square", n, F4).passed
+    for n in (1, 2, 3):
+        assert formula_enumeration_check("symmetric", n, F4).passed
+    assert formula_enumeration_check("iid-rect", 2, F4, m=1).passed
 
 
 def test_chain_consistency_checks():

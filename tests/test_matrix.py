@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from fqrank._fast import rank_mod_p
 from fqrank.errors import DimensionMismatch
 from fqrank.field import field_new
 from fqrank.matrix import FqMatrix, dumps_matrix, in_span, loads_matrix
@@ -42,6 +44,21 @@ def test_rank_extension_field():
     scaled = tuple(F4.mul(a, x) for x in row)
     M = FqMatrix.from_rows(F4, [list(row), list(scaled)])
     assert M.rank() == 1
+
+
+def test_rank_mod_p_matches_fqmatrix_rank():
+    rng = np.random.default_rng(0)
+    for q in (2, 4, 8, 9, 25, 101, 256):
+        f = field_new(q)
+        for t in range(40):
+            rows, cols = rng.integers(1, 7, size=2)
+            a = rng.integers(0, q, size=(rows, cols))
+            if t % 2:  # zero-heavy: many columns without a pivot
+                a[rng.random((rows, cols)) < 0.75] = 0
+            if t % 3 == 0 and rows > 1:  # a dependent row
+                a[-1] = f.vec.mul(a[0], int(rng.integers(1, q)))
+            M = FqMatrix(f, int(rows), int(cols), tuple(a.ravel().tolist()))
+            assert rank_mod_p(a, q) == M.rank()
 
 
 def test_rref_pivots():

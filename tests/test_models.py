@@ -5,6 +5,7 @@ import pytest
 
 from fqrank.errors import EmptySupport, InvalidSpec
 from fqrank.field import field_new
+from fqrank.matrix import FqMatrix
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
                            corank_of_sample, derive_rng, near_uniform_dist,
                            sample, sample_gl, uniform_entry_dist,
@@ -24,6 +25,7 @@ def test_entry_dist_validation():
 
 def test_entry_dist_constant():
     assert uniform_entry_dist(F5).C == 1
+    assert uniform_entry_dist(F5) is uniform_entry_dist(F5)  # built once per field
     d = near_uniform_dist(F5, {0})
     assert d.C == Fraction(5, 4)
     assert d.probs[0] == 0
@@ -70,10 +72,20 @@ def test_model_spec_validation():
     with pytest.raises(InvalidSpec):
         ModelSpec(kind="iid-square", field=F3, n=2,
                   entries=uniform_entry_dist(F5))  # wrong length
+    d = uniform_entry_dist(F3)
+    for kind, i, j in (("iid-square", -1, 0), ("iid-square", 5, 0),
+                       ("iid-square", 0, 3), ("symmetric", 0, -1),
+                       ("alternating", 1, 1)):  # alternating diagonal is 0
+        with pytest.raises(InvalidSpec):
+            ModelSpec(kind=kind, field=F3, n=3, overrides=((i, j, d),))
+    with pytest.raises(InvalidSpec):
+        ModelSpec(kind="iid-rect", field=F3, n=2, m=1, overrides=((2, 0, d),))
+    with pytest.raises(InvalidSpec):  # a fixed alternating diagonal must be 0
+        ModelSpec(kind="alternating", field=F3, n=3, type_f=TypeFSpec(((0,),), ((1,),)))
+    ModelSpec(kind="iid-rect", field=F3, n=2, m=1, overrides=((1, 2, d),))
 
 
 def test_planted_validation():
-    from fqrank.matrix import FqMatrix
     corner = FqMatrix.from_rows(F3, [[1, 2], [2, 0]])
     spec = ModelSpec(kind="planted-symmetric", field=F3, n=4, planted=corner)
     assert spec.shape == (4, 4)
@@ -141,7 +153,6 @@ def test_sample_respects_overrides():
 
 
 def test_planted_corner_embedded():
-    from fqrank.matrix import FqMatrix
     corner = FqMatrix.from_rows(F3, [[0, 1], [2, 0]])
     spec = ModelSpec(kind="planted-alternating", field=F3, n=5, planted=corner)
     M = sample(spec, 8)
@@ -169,10 +180,24 @@ def test_gl_corner_shape():
 
 
 def test_corank_of_sample_matches_sample():
-    for kind in ("iid-square", "symmetric", "alternating", "uniform-gl"):
-        spec = ModelSpec(kind=kind, field=F3, n=4)
-        for t in range(4):
-            assert corank_of_sample(spec, 21, t) == sample(spec, 21, t).corank()
+    # the array kernel against the FqMatrix elimination of the same draw
+    for q in (3, 4, 9):
+        f = field_new(q)
+        sym = FqMatrix.from_rows(f, [[1, 2], [2, 0]])
+        alt = FqMatrix.from_rows(f, [[0, 1], [f.neg(1), 0]])
+        specs = [ModelSpec(kind="iid-square", field=f, n=4),
+                 ModelSpec(kind="iid-rect", field=f, n=3, m=2),
+                 ModelSpec(kind="symmetric", field=f, n=4),
+                 ModelSpec(kind="uniform-gl", field=f, n=4),
+                 ModelSpec(kind="gl-minus-identity", field=f, n=4),
+                 ModelSpec(kind="gl-corner", field=f, n=4, n_prime=2),
+                 ModelSpec(kind="planted-symmetric", field=f, n=4, planted=sym)]
+        if q % 2:
+            specs += [ModelSpec(kind="alternating", field=f, n=4),
+                      ModelSpec(kind="planted-alternating", field=f, n=4, planted=alt)]
+        for spec in specs:
+            for t in range(4):
+                assert corank_of_sample(spec, 21, t) == sample(spec, 21, t).corank()
 
 
 def test_extension_field_sampling():
@@ -181,3 +206,12 @@ def test_extension_field_sampling():
     M = sample(spec, 6)
     assert M.is_symmetric()
     assert corank_of_sample(spec, 6, 0) == M.corank()
+    # fixed off-diagonal values mirror to their negatives in F_9 (-4 = 8),
+    # not to (-v) mod p (which would give 2)
+    f9 = field_new(9)
+    tf = TypeFSpec(((1, 2), (), (3,)), ((4, 7), (), (5,)))
+    spec = ModelSpec(kind="alternating", field=f9, n=4, type_f=tf)
+    for t in range(5):
+        M = sample(spec, 6, t)
+        assert M.is_alternating()
+        assert (M.get(1, 0), M.get(2, 0), M.get(3, 2)) == (4, 7, 5)
