@@ -9,7 +9,7 @@ harness with a CLI front end.
 
 from .errors import (CapExceeded, CodimensionTooLarge, DimensionMismatch,
                      EmptySupport, EvenCharacteristic, FqRankError,
-                     InvalidSpec, NotPrimePower, TooLarge,
+                     InvalidArgument, InvalidSpec, NotPrimePower, TooLarge,
                      TooLargeToEnumerate)
 from .field import Field, field_new
 from .matrix import FqMatrix, dumps_matrix, in_span, loads_matrix
@@ -37,7 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded", "ChainSpec", "CodimensionTooLarge", "CorankPMF",
     "DimensionMismatch", "EmptySupport", "EntryDist", "EvenCharacteristic",
-    "Field", "FqMatrix", "FqRankError", "InvalidSpec", "MCResult",
+    "Field", "FqMatrix", "FqRankError", "InvalidArgument", "InvalidSpec",
+    "MCResult",
     "ModelSpec", "NotPrimePower", "StructureReport", "TooLarge",
     "TooLargeToEnumerate", "TypeFSpec", "VerificationReport", "band_type_f",
     "brute_force_pmf", "check_decoupling", "check_unconc_implies_uniform",

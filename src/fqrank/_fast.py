@@ -2,9 +2,14 @@
 harness, on every field F_q.
 
 Elements are integer arrays with entries in [0, q); all arithmetic goes
-through Field.vec, which reduces mod p on prime fields and looks up exp/log
-tables on extension fields.  FqMatrix.rank is the scalar counterpart and the
-independent oracle these kernels are tested against.
+through Field.vec.  rank_stack eliminates a whole (B, R, C) stack of
+matrices at once, one column per step across the stack.  Its trailing-block
+update is Field.vec.sub_mul, which on prime fields leaves x - a*b unreduced
+(delayed modular reduction); Field.vec.reduce brings an array back into
+[0, q) where an entry is compared or multiplied.  On extension fields
+sub_mul goes through exp/log tables and reduce is the identity, so the same
+kernel runs on every field.  FqMatrix.rank is the scalar counterpart and
+the independent oracle these kernels are tested against.
 """
 
 from __future__ import annotations
@@ -14,28 +19,40 @@ import numpy as np
 from .field import Field, field_new
 
 
-def rank_mod_p(mat: np.ndarray, q: int) -> int:
-    """Rank over F_q of an integer matrix with entries in [0, q), by
-    elimination (q = p on prime fields)."""
+def rank_stack(stack: np.ndarray, q: int) -> np.ndarray:
+    """Ranks over F_q of a (B, R, C) stack of integer matrices with entries
+    in [0, q), by elimination without row swaps."""
     f = field_new(q).vec
-    m = mat.copy()
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = f.mul(m[r], f.inv[m[r, c]])
-        below = m[r + 1:, c]
-        if below.size and np.any(below):
-            m[r + 1:] = f.sub_outer(m[r + 1:], below, m[r])
-        r += 1
-        if r == rows:
+    m = np.array(stack, dtype=np.int64)
+    B, R, C = m.shape
+    free = np.ones((B, R), dtype=bool)  # rows not yet used as a pivot
+    rank = np.zeros(B, dtype=np.int64)
+    b = np.arange(B)
+    # m holds the columns not yet eliminated.  Only the pivot column and the
+    # pivot row are reduced; after k updates of x - a*b with a, b in [0, p)
+    # every entry satisfies |x| < q + k(p-1)^2, far inside int64 for any
+    # q <= 2^16 and k below 2^31.
+    for _ in range(C):
+        if (rank == R).all():
             break
-    return r
+        col = np.where(free, f.reduce(m[:, :, 0]), 0)
+        piv = (col != 0).argmax(axis=1)
+        pivot = col[b, piv]  # 0 where a matrix has no pivot in this column
+        m = m[:, :, 1:]
+        found = pivot != 0
+        if not found.any():
+            continue
+        factor = f.mul(col, f.inv[pivot][:, None])
+        factor[b, piv] = 0
+        m = f.sub_mul(m, factor[:, :, None], f.reduce(m[b, piv])[:, None, :])
+        free[b[found], piv[found]] = False
+        rank += found
+    return rank
+
+
+def rank_mod_p(mat: np.ndarray, q: int) -> int:
+    """Rank over F_q of one integer matrix with entries in [0, q)."""
+    return int(rank_stack(mat[None], q)[0])
 
 
 class SpanTracker:
@@ -59,7 +76,8 @@ class SpanTracker:
         j = int(nz[0])
         red = self.f.mul(red, self.f.inv[red[j]])
         if self.pivots:
-            self.basis = self.f.sub_outer(self.basis, self.basis[:, j], red)
+            self.basis = self.f.reduce(
+                self.f.sub_mul(self.basis, self.basis[:, j, None], red))
         self.basis = np.vstack([self.basis, red[None, :]])
         self.pivots.append(j)
         return True

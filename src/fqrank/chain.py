@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import CorankPMF, _pmf
-from .errors import EvenCharacteristic
+from .errors import EvenCharacteristic, InvalidArgument
 from .field import Field
 
 CHAIN_KINDS = ("symmetric", "alternating", "iid-column")
@@ -37,17 +37,17 @@ class ChainSpec:
 
     def __post_init__(self):
         if self.kind not in CHAIN_KINDS:
-            raise ValueError(f"unknown chain kind {self.kind!r}")
+            raise InvalidArgument(f"unknown chain kind {self.kind!r}")
         if self.kind == "alternating" and self.field.q % 2 == 0:
             raise EvenCharacteristic("alternating chain requires odd q")
         if self.kind == "iid-column" and (self.n is None or self.n < 1):
-            raise ValueError("iid-column chain needs ambient dimension n >= 1")
+            raise InvalidArgument("iid-column chain needs ambient dimension n >= 1")
 
 
 def transition(kind: str, k: int, f: Field) -> tuple[Fraction, Fraction, Fraction]:
     """Exact one-step (down, stay, up) probabilities from corank k."""
     if k < 0:
-        raise ValueError("corank must be >= 0")
+        raise InvalidArgument("corank must be >= 0")
     q = f.q
     qk = Fraction(1, q**k)
     if kind == "symmetric":
@@ -59,7 +59,7 @@ def transition(kind: str, k: int, f: Field) -> tuple[Fraction, Fraction, Fractio
     if kind == "iid-column":
         # state = codimension of the span; a new column leaves it or not
         return 1 - qk, qk, Fraction(0)
-    raise ValueError(f"unknown chain kind {kind!r}")
+    raise InvalidArgument(f"unknown chain kind {kind!r}")
 
 
 def _step(kind: str, f: Field, dist: dict[int, Fraction],
@@ -91,7 +91,7 @@ def evolve(spec: ChainSpec, initial: CorankPMF, steps: int) -> CorankPMF:
     if spec.kind == "iid-column":
         dist = {spec.n - dim: p for dim, p in initial.support}
         if any(k < 0 for k in dist):
-            raise ValueError("span dimension exceeds ambient n")
+            raise InvalidArgument("span dimension exceeds ambient n")
     else:
         dist = dict(initial.support)
     for _ in range(steps):
@@ -107,7 +107,7 @@ def hit_zero_prob(spec: ChainSpec, x0: int, steps: int) -> Fraction:
     """Exact probability the chain started at corank x0 touches 0 within
     `steps` steps (absorbing-state computation)."""
     if x0 < 0:
-        raise ValueError("x0 must be >= 0")
+        raise InvalidArgument("x0 must be >= 0")
     dist = {x0: Fraction(1)}
     for _ in range(steps):
         dist = _step(spec.kind, spec.field, dist, absorb_at_zero=True)
@@ -132,9 +132,9 @@ def most_likely_positive_path(spec: ChainSpec, x0: int, steps: int
     then alternate between 1 and 2 (with a single stay at 1 absorbing an odd
     leftover step in the symmetric chain)."""
     if spec.kind not in ("symmetric", "alternating"):
-        raise ValueError("positive-path claim applies to symmetric/alternating")
+        raise InvalidArgument("positive-path claim applies to symmetric/alternating")
     if x0 < 1:
-        raise ValueError("a strictly positive path needs x0 >= 1")
+        raise InvalidArgument("a strictly positive path needs x0 >= 1")
     path = [x0]
     pos = x0
     remaining = steps

@@ -26,7 +26,7 @@ from .distributions import (CorankPMF, limit_alt_pmf, limit_rect_pmf,
                             limit_sym_pmf, limit_square_pmf, tv_distance,
                             uniform_alt_pmf, uniform_rect_pmf, uniform_sym_pmf,
                             uniform_square_pmf)
-from .errors import FqRankError
+from .errors import FqRankError, InvalidArgument
 from .field import field_new
 from .matrix import dumps_matrix
 from .models import ModelSpec, sample, validate_conditions
@@ -161,7 +161,10 @@ def cmd_structure(args) -> int:
     from .structure import rho
 
     spec = _load_spec(args.spec)
-    a = tuple(int(x) for x in args.vector.split(","))
+    try:
+        a = tuple(int(x) for x in args.vector.split(","))
+    except ValueError:
+        raise InvalidArgument("--vector must be comma-separated integers") from None
     dists = [spec.default_dist()] * len(a)
     F = spec.type_f.sets[0] if spec.type_f is not None else ()
     report = rho(a, dists, F=F, K=args.K)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EvenCharacteristic
+from .errors import EvenCharacteristic, InvalidArgument
 from .field import Field
 
 ZERO = Fraction(0)
@@ -41,12 +41,14 @@ class CorankPMF:
     def __post_init__(self):
         ks = [k for k, _ in self.support]
         if ks != sorted(set(ks)):
-            raise ValueError("support coranks must be distinct and sorted")
+            raise InvalidArgument("support coranks must be distinct and sorted")
         if any(m < 0 for _, m in self.support):
-            raise ValueError("negative mass")
+            raise InvalidArgument("negative mass")
         total = self.total()
+        if self.kind == "exact" and (total != 1 or self.tail_bound != 0):
+            raise InvalidArgument("exact masses must sum to exactly 1 with no tail")
         if total > 1 or total + self.tail_bound < 1 - Fraction(1, 10**12):
-            raise ValueError("masses + tail_bound inconsistent with 1")
+            raise InvalidArgument("masses + tail_bound inconsistent with 1")
 
     def total(self) -> Fraction:
         return sum((m for _, m in self.support), ZERO)
@@ -121,7 +123,7 @@ def _tol_exp(tol: Fraction) -> int:
 def _check_tol(tol) -> Fraction:
     tol = Fraction(tol).limit_denominator(10**40) if isinstance(tol, float) else Fraction(tol)
     if not (0 < tol <= Fraction(1, 10**6)):
-        raise ValueError("tol must satisfy 0 < tol <= 1e-6")
+        raise InvalidArgument("tol must satisfy 0 < tol <= 1e-6")
     return tol
 
 
@@ -137,7 +139,7 @@ def uniform_square_pmf(n: int, f: Field) -> CorankPMF:
 def uniform_rect_pmf(n: int, m: int, f: Field) -> CorankPMF:
     """Exact corank law of a uniform n x (n+m) matrix (corank = n - rank)."""
     if n < 1 or m < 0:
-        raise ValueError("need n >= 1, m >= 0")
+        raise InvalidArgument("need n >= 1, m >= 0")
     q = f.q
     masses = {}
     for k in range(n + 1):
@@ -150,7 +152,7 @@ def uniform_rect_pmf(n: int, m: int, f: Field) -> CorankPMF:
 def uniform_sym_pmf(n: int, f: Field) -> CorankPMF:
     """Exact corank law of a uniform symmetric n x n matrix."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgument("need n >= 1")
     q = f.q
     masses = {}
     for k in range(n + 1):
@@ -166,7 +168,7 @@ def uniform_sym_pmf(n: int, f: Field) -> CorankPMF:
 def uniform_alt_pmf(n: int, f: Field) -> CorankPMF:
     """Exact corank law of a uniform alternating n x n matrix (q odd)."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgument("need n >= 1")
     if f.q % 2 == 0:
         raise EvenCharacteristic("alternating model requires odd q")
     q = f.q
@@ -231,7 +233,7 @@ def limit_alt_pmf(f: Field, parity: str, tol=Fraction(1, 10**12)) -> CorankPMF:
     if f.q % 2 == 0:
         raise EvenCharacteristic("alternating model requires odd q")
     if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
+        raise InvalidArgument("parity must be 'even' or 'odd'")
     tol = _check_tol(tol)
     q, te = f.q, _tol_exp(tol)
     const = _sym_constant(q, te)

@@ -29,6 +29,10 @@ class InvalidSpec(FqRankError):
     """Model specification is internally inconsistent."""
 
 
+class InvalidArgument(FqRankError, ValueError):
+    """A parameter or input value is out of range or malformed."""
+
+
 class CodimensionTooLarge(FqRankError):
     """Subspace codimension exceeds the exact state-space guard."""
 

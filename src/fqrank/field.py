@@ -289,6 +289,11 @@ class Field:
     def __hash__(self) -> int:
         return hash(("Field", self.q))
 
+    def __reduce__(self):
+        # pickle as the order alone: the receiver rebuilds or reuses its
+        # cached tables instead of unpickling them
+        return field_new, (self.q,)
+
 
 # ---------------------------------------------------------------------------
 # Array arithmetic.  Kernels that eliminate or sample whole rows at a time
@@ -313,9 +318,13 @@ class PrimeArrays:
     def sub(self, a, b: np.ndarray) -> np.ndarray:
         return (a - b) % self.q
 
-    def sub_outer(self, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x - outer(a, b)."""
-        return (x - np.outer(a, b)) % self.q
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x brought into [0, p)."""
+        return x % self.q
+
+    def sub_mul(self, x: np.ndarray, a, b) -> np.ndarray:
+        """x - a*b, broadcast and left unreduced: reduce() before comparing."""
+        return x - a * b
 
     def sub_dot(self, x: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
         """x - c @ B."""
@@ -356,9 +365,13 @@ class TableArrays:
     def sub(self, a, b: np.ndarray) -> np.ndarray:
         return self.add(a, self.neg[b])
 
-    def sub_outer(self, x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x - outer(a, b)."""
-        return self.sub(x, self.mul(a[:, None], b))
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Table arithmetic never leaves [0, q)."""
+        return x
+
+    def sub_mul(self, x: np.ndarray, a, b) -> np.ndarray:
+        """x - a*b, broadcast."""
+        return self.sub(x, self.mul(a, b))
 
     def sub_dot(self, x: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
         """x - c @ B."""

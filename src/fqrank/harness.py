@@ -3,7 +3,11 @@
 Trial t of a run seeded with s draws from the stream keyed by (s, t), so a
 worker pool can split the trial range arbitrarily: accumulation is a
 commutative integer-count merge and the result is identical to the serial
-run.  FQRANK_THREADS caps the worker count (default: serial).
+run.  FQRANK_THREADS caps the worker count (default: serial).  Each worker
+walks its range in blocks of consecutive trials, sampled into one stack and
+ranked by one call of the stack kernel; a block holds about 2^18
+matrix entries, so memory stays bounded for any matrix size, and the counts
+do not depend on where the blocks fall.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from ._fast import rank_mod_p
+from ._fast import rank_mod_p, rank_stack
 from .distributions import (CorankPMF, limit_alt_pmf, limit_rect_pmf,
                             limit_sym_pmf, limit_square_pmf, tv_distance,
                             uniform_alt_pmf, uniform_rect_pmf, uniform_sym_pmf,
@@ -27,8 +31,8 @@ from .distributions import (CorankPMF, limit_alt_pmf, limit_rect_pmf,
 from .errors import InvalidSpec, TooLargeToEnumerate
 from .field import Field
 from .matrix import FqMatrix
-from .models import (EntryDist, ModelSpec, TypeFSpec, corank_of_sample,
-                     derive_rng, sample_gl, uniform_entry_dist)
+from .models import (EntryDist, ModelSpec, TypeFSpec, derive_rng, sample_gl,
+                     sample_stack, uniform_entry_dist)
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -86,10 +90,18 @@ def _jsonable(v):
 # Monte Carlo corank estimation
 # ---------------------------------------------------------------------------
 
+# Entries per block of trials: a block's stack and the kernel's temporaries
+# stay a few MB whatever the matrix size.
+_BLOCK_ENTRIES = 1 << 18
+
+
 def _count_chunk(spec: ModelSpec, seed: int, start: int, stop: int) -> Counter:
+    rows, cols = spec.shape
+    block = max(1, _BLOCK_ENTRIES // (rows * cols))
     c: Counter = Counter()
-    for t in range(start, stop):
-        c[corank_of_sample(spec, seed, t)] += 1
+    for a in range(start, stop, block):
+        rngs = [derive_rng(seed, t) for t in range(a, min(a + block, stop))]
+        c.update((rows - rank_stack(sample_stack(spec, rngs), spec.field.q)).tolist())
     return c
 
 

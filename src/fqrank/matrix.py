@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidArgument
 from .field import Field
 
 
@@ -27,7 +27,7 @@ class FqMatrix:
                 f"entries, got {len(self.entries)}"
             )
         if any(not (0 <= e < self.field.q) for e in self.entries):
-            raise ValueError("entry out of range for the field")
+            raise InvalidArgument("entry out of range for the field")
 
     # -- constructors ---------------------------------------------------------
 
@@ -193,9 +193,14 @@ def dumps_matrix(M: FqMatrix) -> str:
 def loads_matrix(text: str) -> FqMatrix:
     from .field import field_new
 
-    tokens = text.split()
-    q, rows, cols = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    body = [int(t) for t in tokens[3:]]
-    if len(body) != rows * cols:
+    try:
+        tokens = [int(t) for t in text.split()]
+    except ValueError:
+        raise InvalidArgument("matrix text holds a token that is not an integer") from None
+    if len(tokens) < 3:
+        raise DimensionMismatch("matrix text needs a 'q rows cols' header")
+    q, rows, cols = tokens[:3]
+    body = tokens[3:]
+    if rows < 0 or cols < 0 or len(body) != rows * cols:
         raise DimensionMismatch("matrix text has wrong number of entries")
     return FqMatrix(field_new(q), rows, cols, tuple(body))

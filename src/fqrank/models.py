@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from ._fast import SpanTracker, rank_mod_p
-from .errors import EmptySupport, EvenCharacteristic, InvalidSpec
+from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec
 from .field import Field, field_new
 from .matrix import FqMatrix, dumps_matrix, loads_matrix
 
@@ -84,7 +84,10 @@ class EntryDist:
         return np.asarray(self._cum)
 
     def draw_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.integers(0, self.denominator, size=size)
+        return self.lookup(rng.integers(0, self.denominator, size=size))
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """The values that uniform integers u in [0, denominator) select."""
         return np.searchsorted(self._cum_array, u, side="right").astype(np.int64)
 
     def draw_one(self, rng: np.random.Generator) -> int:
@@ -227,6 +230,22 @@ class ModelSpec:
     def default_dist(self) -> EntryDist:
         return self.entries if self.entries is not None else uniform_entry_dist(self.field)
 
+    @cached_property
+    def _fixed_writes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values that the type-F pattern writes into a
+        draw: each fixed entry, then its mirror image on symmetric and
+        alternating kinds.  A later write to the same cell wins, so every
+        cell appears once."""
+        alt = "alternating" in self.kind
+        out: dict[tuple[int, int], int] = {}
+        for (r, c), v in self.type_f.fixed_entries().items():
+            out[r, c] = v
+            if self.kind not in ("iid-square", "iid-rect"):
+                out[c, r] = self.field.neg(v) if alt else v
+        rows = np.array([r for r, _ in out], dtype=np.intp)
+        cols = np.array([c for _, c in out], dtype=np.intp)
+        return rows, cols, np.array(list(out.values()), dtype=np.int64)
+
     # -- JSON -----------------------------------------------------------------
 
     def to_json(self) -> str:
@@ -253,7 +272,15 @@ class ModelSpec:
 
     @staticmethod
     def from_json(text: str | dict) -> "ModelSpec":
-        obj = json.loads(text) if isinstance(text, str) else text
+        try:
+            return ModelSpec._from_obj(json.loads(text) if isinstance(text, str) else text)
+        except FqRankError:
+            raise
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            raise InvalidSpec(f"malformed spec: {type(exc).__name__}: {exc}") from exc
+
+    @staticmethod
+    def _from_obj(obj: dict) -> "ModelSpec":
         f = field_new(obj["q"])
 
         def parse_dist(lst) -> EntryDist:
@@ -351,42 +378,56 @@ def _gl_array(n: int, f: Field, rng: np.random.Generator) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def sample_array(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the model as an integer array with entries in [0, q)."""
+def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One draw from the model per generator, stacked into a (len(rngs),
+    rows, cols) integer array with entries in [0, q).
+
+    Draw i consumes rngs[i] alone, exactly as a stack of one would: the
+    entry draw, then one draw per override.  The value lookup, mirroring,
+    planted corner and fixed entries are applied to the whole stack."""
     f = spec.field
     kind, n = spec.kind, spec.n
-    if kind == "uniform-gl":
-        return _gl_array(n, f, rng)
-    if kind == "gl-minus-identity":
-        return f.vec.sub(_gl_array(n, f, rng), np.eye(n, dtype=np.int64))
-    if kind == "gl-corner":
-        return _gl_array(n, f, rng)[: spec.n_prime, : spec.n_prime]
+    if kind in ("uniform-gl", "gl-minus-identity", "gl-corner"):
+        k = spec.shape[0]
+        m = np.stack([_gl_array(n, f, rng)[:k, :k] for rng in rngs])
+        if kind == "gl-minus-identity":
+            return f.vec.sub(m, np.eye(n, dtype=np.int64))
+        return m
 
     mirrored = kind not in ("iid-square", "iid-rect")
     alt = "alternating" in kind
     dist = uniform_entry_dist(f) if kind.startswith("planted") else spec.default_dist()
-    if not mirrored:
-        m = dist.draw_array(rng, spec.shape)
-        for i, j, d in spec.overrides:
-            m[i, j] = d.draw_one(rng)
-    else:  # draw the upper triangle and mirror it
-        upper = dist.draw_array(rng, (n, n))
-        for i, j, d in spec.overrides:
-            upper[min(i, j), max(i, j)] = d.draw_one(rng)
-        m = np.zeros((n, n), dtype=np.int64)
-        iu = np.triu_indices(n, k=int(alt))
-        m[iu] = upper[iu]
-        m.T[iu] = f.vec.sub(0, upper[iu]) if alt else upper[iu]
+    # mirrored kinds draw a full square and keep its upper triangle
+    shape = (n, n) if mirrored else spec.shape
+    u, over = [], []
+    for rng in rngs:
+        u.append(rng.integers(0, dist.denominator, size=shape))
+        over.append([d.draw_one(rng) for _, _, d in spec.overrides])
+    m = dist.lookup(np.stack(u))
+    over = np.array(over, dtype=np.int64).reshape(len(rngs), -1)
+    for k, (i, j, _) in enumerate(spec.overrides):
+        if mirrored:
+            i, j = min(i, j), max(i, j)
+        m[:, i, j] = over[:, k]
+    if mirrored:
+        upper = m
+        m = np.zeros_like(upper)
+        r, c = np.triu_indices(n, k=int(alt))
+        m[:, r, c] = upper[:, r, c]
+        m[:, c, r] = f.vec.sub(0, upper[:, r, c]) if alt else upper[:, r, c]
         if kind.startswith("planted"):
             m0 = spec.planted.rows
-            m[:m0, :m0] = spec.planted.to_lists()
+            m[:, :m0, :m0] = spec.planted.to_lists()
 
     if spec.type_f is not None:
-        for (r, c), v in spec.type_f.fixed_entries().items():
-            m[r, c] = v
-            if mirrored:
-                m[c, r] = f.neg(v) if alt else v
+        r, c, v = spec._fixed_writes
+        m[:, r, c] = v
     return m
+
+
+def sample_array(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the model as an integer array with entries in [0, q)."""
+    return sample_stack(spec, [rng])[0]
 
 
 def corank_of_sample(spec: ModelSpec, seed: int, trial: int = 0) -> int:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import CodimensionTooLarge, DimensionMismatch, TooLargeToEnumerate
+from .errors import (CodimensionTooLarge, DimensionMismatch, InvalidArgument,
+                     TooLargeToEnumerate)
 from .field import Field, field_new
 from .matrix import FqMatrix
 from .models import EntryDist
@@ -41,7 +42,7 @@ def f_abs(d: EntryDist, y: int) -> float:
 def threshold_set(d: EntryDist, K: float) -> frozenset[int]:
     """T = {y : |f(y)| >= K * q^(-1/2)}."""
     if K <= 0:
-        raise ValueError("K must be positive")
+        raise InvalidArgument("K must be positive")
     cut = K / d.q ** 0.5
     return frozenset(y for y in range(d.q) if f_abs(d, y) >= cut)
 

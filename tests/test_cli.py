@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fqrank.cli import main
 
 
@@ -100,6 +102,23 @@ def test_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "NotPrimePower" in captured.err
+
+
+@pytest.mark.parametrize("spec, argv, error", [
+    ({"kind": "iid-square", "n": 2}, ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "planted-symmetric", "q": 3, "n": 3, "planted": "3 2"},
+     ["sample", "SPEC", "--seed", "1"], "DimensionMismatch"),
+    (None, ["dist", "square", "--n", "0", "--q", "3"], "InvalidArgument"),
+    (None, ["chain", "symmetric", "--q", "3", "--x0", "-1", "--steps", "2"],
+     "InvalidArgument"),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec))
+    code = main([str(path) if a == "SPEC" else a for a in argv])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_version_matches_pyproject():

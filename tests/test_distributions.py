@@ -21,6 +21,10 @@ def test_pmf_invariants():
         CorankPMF(support=((0, Fraction(-1, 2)), (1, Fraction(3, 2))))
     with pytest.raises(ValueError):
         CorankPMF(support=((0, Fraction(1, 2)),))  # missing mass, no tail
+    with pytest.raises(ValueError):  # an exact law must sum to exactly 1
+        CorankPMF(support=((0, 1 - Fraction(1, 10**13)),))
+    with pytest.raises(ValueError):  # and carries no tail
+        CorankPMF(support=((0, Fraction(1)),), tail_bound=Fraction(1, 10**13))
 
 
 def test_pmf_accessors_and_json():

@@ -1,4 +1,5 @@
 import cmath
+import pickle
 import random
 
 import pytest
@@ -126,3 +127,10 @@ def test_field_cache_and_equality():
     assert field_new(5) is field_new(5)
     assert field_new(5) == Field(5)
     assert field_new(5) != field_new(25)
+    # a field pickles as its order, without its tables
+    for q in (7, 6561, 1 << 16):
+        f = field_new(q)
+        f.vec  # build and cache the array tables too
+        data = pickle.dumps(f)
+        assert len(data) < 1024
+        assert pickle.loads(data) is field_new(q)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,14 @@ import pytest
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
 from fqrank.errors import TooLargeToEnumerate
 from fqrank.field import field_new
-from fqrank.harness import (brute_force_pmf, chain_consistency_check,
-                            decoupling_suite, fg_sandwich_check,
+from fqrank.harness import (_BLOCK_ENTRIES, brute_force_pmf,
+                            chain_consistency_check, decoupling_suite, fg_sandwich_check,
                             formula_enumeration_check, gl_uniformity_check,
                             mc_corank, odlyzko_check, submatrix_fullrank_check,
                             threshold_parseval_check, tv_report,
                             unconc_uniform_suite, zero_diag_count_check)
-from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, near_uniform_dist,
-                           uniform_entry_dist)
+from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, corank_of_sample,
+                           near_uniform_dist, uniform_entry_dist)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -62,11 +63,17 @@ def test_mc_corank_concentrates():
 
 
 def test_mc_corank_parallel_matches_serial():
+    # blocks of trials give the counts of one trial at a time, also when
+    # the run ends in a partial block
     for q in (3, 4):
-        spec = ModelSpec(kind="symmetric", field=field_new(q), n=3)
-        serial = mc_corank(spec, 500, seed=5, threads=1)
-        parallel = mc_corank(spec, 500, seed=5, threads=3)
-        assert serial.counts == parallel.counts
+        for n in (3, 128):
+            spec = ModelSpec(kind="symmetric", field=field_new(q), n=n)
+            block = _BLOCK_ENTRIES // n**2
+            trials = min(500, 2 * block + 5)
+            assert trials % block
+            expected = Counter(corank_of_sample(spec, 5, t) for t in range(trials))
+            for threads in (1, 3):
+                assert mc_corank(spec, trials, seed=5, threads=threads).counts == expected
 
 
 def test_fg_sandwich_square_example():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fqrank._fast import rank_mod_p
+from fqrank._fast import rank_mod_p, rank_stack
 from fqrank.errors import DimensionMismatch
 from fqrank.field import field_new
 from fqrank.matrix import FqMatrix, dumps_matrix, in_span, loads_matrix
@@ -46,9 +46,13 @@ def test_rank_extension_field():
     assert M.rank() == 1
 
 
+def _oracle_rank(f, a):
+    return FqMatrix(f, a.shape[0], a.shape[1], tuple(a.ravel().tolist())).rank()
+
+
 def test_rank_mod_p_matches_fqmatrix_rank():
     rng = np.random.default_rng(0)
-    for q in (2, 4, 8, 9, 25, 101, 256):
+    for q in (2, 4, 8, 9, 25, 101, 256, 65521):
         f = field_new(q)
         for t in range(40):
             rows, cols = rng.integers(1, 7, size=2)
@@ -57,8 +61,25 @@ def test_rank_mod_p_matches_fqmatrix_rank():
                 a[rng.random((rows, cols)) < 0.75] = 0
             if t % 3 == 0 and rows > 1:  # a dependent row
                 a[-1] = f.vec.mul(a[0], int(rng.integers(1, q)))
-            M = FqMatrix(f, int(rows), int(cols), tuple(a.ravel().tolist()))
-            assert rank_mod_p(a, q) == M.rank()
+            assert rank_mod_p(a, q) == _oracle_rank(f, a)
+        # whole stacks, tall, wide and square, mixing full-rank matrices
+        # with zero-heavy, dependent-row and zero ones
+        for rows, cols in ((7, 4), (4, 7), (6, 6)):
+            stack = rng.integers(0, q, size=(8, rows, cols))
+            stack[1::2][rng.random((4, rows, cols)) < 0.75] = 0
+            stack[2, -1] = f.vec.mul(stack[2, 0], int(rng.integers(1, q)))
+            stack[4, :, 1] = 0
+            stack[6] = 0
+            ranks = rank_stack(stack, q)
+            assert ranks.tolist() == [_oracle_rank(f, a) for a in stack]
+            assert 0 in ranks and min(rows, cols) in ranks
+    # 64 delayed updates at p = 65521 leave entries far beyond int32
+    stack = rng.integers(0, 65521, size=(3, 64, 64))
+    stack[1, 40] = stack[1, 3]
+    stack[2, :, 60] = field_new(65521).vec.mul(stack[2, :, 5], 7)
+    ranks = rank_stack(stack, 65521)
+    assert ranks.tolist() == [_oracle_rank(field_new(65521), a) for a in stack]
+    assert ranks.tolist() == [64, 63, 63]
 
 
 def test_rref_pivots():

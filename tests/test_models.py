@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fqrank.errors import EmptySupport, InvalidSpec
@@ -8,8 +9,8 @@ from fqrank.field import field_new
 from fqrank.matrix import FqMatrix
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
                            corank_of_sample, derive_rng, near_uniform_dist,
-                           sample, sample_gl, uniform_entry_dist,
-                           validate_conditions)
+                           sample, sample_array, sample_gl, sample_stack,
+                           uniform_entry_dist, validate_conditions)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -180,24 +181,47 @@ def test_gl_corner_shape():
 
 
 def test_corank_of_sample_matches_sample():
-    # the array kernel against the FqMatrix elimination of the same draw
+    # the array kernel against the FqMatrix elimination of the same draw,
+    # and a stack of draws against the same draws made one at a time
     for q in (3, 4, 9):
         f = field_new(q)
         sym = FqMatrix.from_rows(f, [[1, 2], [2, 0]])
         alt = FqMatrix.from_rows(f, [[0, 1], [f.neg(1), 0]])
+        nonzero = near_uniform_dist(f, {0})
+        one = EntryDist(tuple(Fraction(int(v == 1)) for v in range(q)))
+        # two overrides of one mirrored cell (the later wins), nonzero
+        # fixed values, and a fixed cell listed together with its mirror
+        over = ((0, 3, nonzero), (3, 0, one), (1, 2, one))
+        tf = TypeFSpec(((1, 2), (0,), (), (2,)), ((1, q - 1), (2,), (), (0,)))
         specs = [ModelSpec(kind="iid-square", field=f, n=4),
                  ModelSpec(kind="iid-rect", field=f, n=3, m=2),
                  ModelSpec(kind="symmetric", field=f, n=4),
                  ModelSpec(kind="uniform-gl", field=f, n=4),
                  ModelSpec(kind="gl-minus-identity", field=f, n=4),
                  ModelSpec(kind="gl-corner", field=f, n=4, n_prime=2),
-                 ModelSpec(kind="planted-symmetric", field=f, n=4, planted=sym)]
+                 ModelSpec(kind="planted-symmetric", field=f, n=4, planted=sym),
+                 ModelSpec(kind="iid-square", field=f, n=4, entries=nonzero,
+                           overrides=over, type_f=tf),
+                 ModelSpec(kind="iid-rect", field=f, n=4, m=1,
+                           overrides=over + ((2, 4, nonzero),), type_f=tf),
+                 ModelSpec(kind="symmetric", field=f, n=4, entries=nonzero,
+                           overrides=over + ((2, 2, one),), type_f=tf),
+                 ModelSpec(kind="planted-symmetric", field=f, n=4, planted=sym,
+                           overrides=over, type_f=tf)]
         if q % 2:
+            alt_tf = TypeFSpec(((1, 3), (), (0,)), ((1, q - 1), (), (2,)))
             specs += [ModelSpec(kind="alternating", field=f, n=4),
-                      ModelSpec(kind="planted-alternating", field=f, n=4, planted=alt)]
+                      ModelSpec(kind="planted-alternating", field=f, n=4, planted=alt),
+                      ModelSpec(kind="alternating", field=f, n=4, entries=nonzero,
+                                overrides=over, type_f=alt_tf),
+                      ModelSpec(kind="planted-alternating", field=f, n=4, planted=alt,
+                                overrides=over, type_f=alt_tf)]
         for spec in specs:
             for t in range(4):
                 assert corank_of_sample(spec, 21, t) == sample(spec, 21, t).corank()
+            stack = sample_stack(spec, [derive_rng(21, t) for t in range(6)])
+            singles = [sample_array(spec, derive_rng(21, t)) for t in range(6)]
+            assert np.array_equal(stack, np.stack(singles))
 
 
 def test_extension_field_sampling():
