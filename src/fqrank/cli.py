@@ -21,11 +21,9 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-from .distributions import (CorankPMF, limit_alt_pmf, limit_rect_pmf,
-                            limit_sym_pmf, limit_square_pmf, tv_distance,
-                            uniform_alt_pmf, uniform_rect_pmf, uniform_sym_pmf,
-                            uniform_square_pmf)
+from .distributions import LAW_KINDS, CorankPMF, limit_pmf, uniform_pmf
 from .errors import FqRankError, InvalidArgument
 from .field import field_new
 from .matrix import dumps_matrix
@@ -33,7 +31,7 @@ from .models import ModelSpec, sample, validate_conditions
 from . import chain as chain_mod
 from . import harness
 
-DIST_KINDS = ("square", "rect", "symmetric", "alternating")
+SUITES = tuple(dict.fromkeys(g.suite for g in harness.CHECKS.values()))
 
 
 def _write_csv(path: str, pmf: CorankPMF) -> None:
@@ -50,8 +48,11 @@ def _emit(obj) -> None:
 
 
 def _load_spec(path: str) -> ModelSpec:
-    with open(path) as fh:
-        return ModelSpec.from_json(fh.read())
+    try:
+        text = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidArgument(f"cannot read spec file: {exc}") from None
+    return ModelSpec.from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -60,27 +61,13 @@ def _load_spec(path: str) -> ModelSpec:
 
 def cmd_dist(args) -> int:
     f = field_new(args.q)
-    tol = Fraction(args.tol).limit_denominator(10**40) if args.tol else Fraction(1, 10**30)
+    tol = Fraction(1, 10**30) if args.tol is None else args.tol
     if args.limit:
-        if args.kind == "square":
-            pmf = limit_square_pmf(f, tol)
-        elif args.kind == "rect":
-            pmf = limit_rect_pmf(args.m, f, tol)
-        elif args.kind == "symmetric":
-            pmf = limit_sym_pmf(f, tol)
-        else:
-            pmf = limit_alt_pmf(f, args.parity, tol)
+        pmf = limit_pmf(args.kind, f, args.m, args.parity, tol)
+    elif args.n is None:
+        raise FqRankError("--n is required without --limit")
     else:
-        if args.n is None:
-            raise FqRankError("--n is required without --limit")
-        if args.kind == "square":
-            pmf = uniform_square_pmf(args.n, f)
-        elif args.kind == "rect":
-            pmf = uniform_rect_pmf(args.n, args.m, f)
-        elif args.kind == "symmetric":
-            pmf = uniform_sym_pmf(args.n, f)
-        else:
-            pmf = uniform_alt_pmf(args.n, f)
+        pmf = uniform_pmf(args.kind, args.n, f, args.m)
     if args.csv:
         _write_csv(args.csv, pmf)
     _emit(json.loads(pmf.to_json()))
@@ -112,17 +99,9 @@ def cmd_mc(args) -> int:
     }
     ok = True
     if args.ref:
-        f = spec.field
-        tol = Fraction(1, 10**30)
-        if args.ref == "square":
-            ref = limit_square_pmf(f, tol)
-        elif args.ref == "rect":
-            ref = limit_rect_pmf(spec.m, f, tol)
-        elif args.ref == "symmetric":
-            ref = limit_sym_pmf(f, tol)
-        else:
-            n = spec.n if spec.kind != "gl-corner" else spec.n_prime
-            ref = limit_alt_pmf(f, "even" if n % 2 == 0 else "odd", tol)
+        n = spec.shape[0]
+        ref = limit_pmf(args.ref, spec.field, spec.m, "even" if n % 2 == 0 else "odd",
+                        Fraction(1, 10**30))
         report = harness.tv_report(result, ref, threshold=args.threshold,
                                    claim_id=f"mc-vs-limit-{args.ref}")
         out["report"] = report.to_dict()
@@ -185,126 +164,9 @@ def cmd_structure(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_formulas() -> list:
-    reports = []
-    for q in (2, 3):
-        f = field_new(q)
-        for n in (1, 2, 3):
-            reports.append(harness.formula_enumeration_check("iid-square", n, f))
-            reports.append(harness.formula_enumeration_check("symmetric", n, f))
-        reports.append(harness.formula_enumeration_check("iid-rect", 2, f, m=1))
-    f3 = field_new(3)
-    for n in (2, 3, 4):
-        reports.append(harness.formula_enumeration_check("alternating", n, f3))
-    return reports
-
-
-def _suite_chain() -> list:
-    reports = []
-    for q in (2, 3, 5):
-        f = field_new(q)
-        for n in (1, 4, 6):
-            reports.append(harness.chain_consistency_check("symmetric", n, f))
-            reports.append(harness.chain_consistency_check("iid-column", n, f))
-            if q % 2:
-                reports.append(harness.chain_consistency_check("alternating", n, f))
-    for q in (5, 7, 11):
-        f = field_new(q)
-        for m0 in (1, 2, 4):
-            for s in (8, 10, 12):
-                reports.append(harness.hit_zero_bound_check("symmetric", m0, s, f))
-    for q in (2, 3):
-        f = field_new(q)
-        for x0 in (1, 2, 3):
-            for steps in (4, 7):
-                reports.append(harness.path_claim_check("symmetric", x0, steps, f))
-                if q % 2:
-                    reports.append(harness.path_claim_check("alternating", x0, steps, f))
-    f7 = field_new(7)
-    reports.append(harness.planted_tv_check("symmetric", 4, 36, f7))
-    reports.append(harness.planted_tv_check("alternating", 4, 36, f7))
-    return reports
-
-
-def _suite_sandwich() -> list:
-    reports = []
-    for q in (2, 3, 4, 5):
-        f = field_new(q)
-        for n in range(4, 9):
-            reports.append(harness.fg_sandwich_check("square", n, f))
-    for q in (2, 3):
-        f = field_new(q)
-        for n in range(4, 8):
-            reports.append(harness.fg_sandwich_check("symmetric", n, f))
-    for q in (3, 5):
-        f = field_new(q)
-        for n in range(4, 8):
-            reports.append(harness.fg_sandwich_check("alternating", n, f))
-    return reports
-
-
-def _suite_gl() -> list:
-    return [
-        harness.gl_uniformity_check(2, field_new(2), 20000, seed=11),
-        harness.gl_uniformity_check(2, field_new(3), 20000, seed=12),
-        harness.submatrix_fullrank_check(8, 3, 6, 4000, seed=13, f=field_new(2)),
-        harness.submatrix_fullrank_check(6, 2, 2, 2000, seed=14, f=field_new(3)),
-        harness.odlyzko_check(6, 3, 0, harness.EntryDist(
-            tuple(Fraction(1, 5) for _ in range(5))), 4000, 15, field_new(5)),
-    ]
-
-
-def _suite_counting() -> list:
-    return [
-        harness.zero_diag_count_check(2, field_new(2)),
-        harness.zero_diag_count_check(3, field_new(2)),
-        harness.zero_diag_count_check(3, field_new(3)),
-    ]
-
-
-def _suite_structure() -> list:
-    return [
-        harness.unconc_uniform_suite(50, seed=21),
-        harness.decoupling_suite(30, seed=22),
-        harness.threshold_parseval_check(29, seed=23),
-    ]
-
-
-def _suite_theorems() -> list:
-    reports = []
-    f7, f5 = field_new(7), field_new(5)
-    tol = Fraction(1, 10**30)
-    spec = ModelSpec(kind="gl-minus-identity", field=f7, n=40)
-    res = harness.mc_corank(spec, 4000, seed=31)
-    reports.append(harness.tv_report(res, limit_square_pmf(f7, tol),
-                                     threshold=0.04, claim_id="gl-minus-identity-q7-n40"))
-    spec = ModelSpec(kind="gl-corner", field=f5, n=40, n_prime=20)
-    res = harness.mc_corank(spec, 4000, seed=32)
-    reports.append(harness.tv_report(res, limit_square_pmf(f5, tol),
-                                     threshold=0.04, claim_id="gl-corner-q5-n40-nprime20"))
-    return reports
-
-
-SUITES = {
-    "formulas": _suite_formulas,
-    "chain": _suite_chain,
-    "sandwich": _suite_sandwich,
-    "gl": _suite_gl,
-    "counting": _suite_counting,
-    "structure": _suite_structure,
-    "theorems": _suite_theorems,
-}
-
-
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        reports.extend(SUITES[name]())
+    reports = [r for g in harness.CHECKS.values() if g.suite in names for r in g.run()]
     ok = all(r.passed for r in reports)
     _emit({
         "suites": names,
@@ -326,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("dist", help="exact corank PMFs")
-    d.add_argument("kind", choices=DIST_KINDS)
+    d.add_argument("kind", choices=LAW_KINDS)
     d.add_argument("--n", type=int)
     d.add_argument("--q", type=int, required=True)
     d.add_argument("--m", type=int, default=0, help="extra columns (rect)")
@@ -348,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("spec", help="path to a ModelSpec JSON file")
     m.add_argument("--trials", type=int, required=True)
     m.add_argument("--seed", type=int, required=True)
-    m.add_argument("--ref", choices=DIST_KINDS, default=None,
+    m.add_argument("--ref", choices=LAW_KINDS, default=None,
                    help="limiting law to compare against")
     m.add_argument("--threshold", type=float, default=None,
                    help="TV pass threshold for the comparison")

@@ -121,10 +121,9 @@ def _tol_exp(tol: Fraction) -> int:
 
 
 def _check_tol(tol) -> Fraction:
-    tol = Fraction(tol).limit_denominator(10**40) if isinstance(tol, float) else Fraction(tol)
-    if not (0 < tol <= Fraction(1, 10**6)):
+    if not (0 < tol <= Fraction(1, 10**6)):  # also rejects a float nan
         raise InvalidArgument("tol must satisfy 0 < tol <= 1e-6")
-    return tol
+    return Fraction(tol).limit_denominator(10**40) if isinstance(tol, float) else Fraction(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +186,27 @@ def uniform_alt_pmf(n: int, f: Field) -> CorankPMF:
 # limiting laws
 # ---------------------------------------------------------------------------
 
+def _truncated_limit(f: Field, tol, first: int, step: int, mass) -> CorankPMF:
+    """Masses mass(k, te) at k = first, first + step, ... until less than tol
+    is left, with a rigorous tail bound.
+
+    Both q-products above keep every factor up to an index hi with
+    q^hi >= 10^te and drop the factors (1 - q^-i), i > hi, whose product
+    lies in [1 - delta, 1] with delta = sum_{i>hi} q^-i <= 10^-te / (q - 1).
+    Each kept mass is thus too large by at most delta times itself, and the
+    mass left out is at most 1 - acc + acc*delta, where acc is the kept sum."""
+    tol = _check_tol(tol)
+    te = _tol_exp(tol)
+    masses: dict[int, Fraction] = {}
+    acc, k = ZERO, first
+    while 1 - acc >= tol:
+        masses[k] = mass(k, te)
+        acc += masses[k]
+        k += step
+    delta = Fraction(1, 10**te * (f.q - 1))
+    return _pmf(masses, kind="truncated-limit", tail_bound=1 - acc + 2 * acc * delta)
+
+
 def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     """Truncated law of the limiting corank Q_inf for square uniform matrices."""
     return limit_rect_pmf(0, f, tol)
@@ -194,38 +214,17 @@ def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
 
 def limit_rect_pmf(m: int, f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     """Truncated law of Q_{m,inf} for n x (n+m) uniform matrices."""
-    tol = _check_tol(tol)
-    q, te = f.q, _tol_exp(tol)
-    masses: dict[int, Fraction] = {}
-    acc = ZERO
-    k = 0
-    while 1 - acc >= tol:
-        mass = (Fraction(1, q ** (k * (m + k)))
-                * _tail_product(q, k + 1, te)
-                / _prod_one_minus_qinv(q, 1, m + k))
-        masses[k] = mass
-        acc += mass
-        k += 1
-    return _pmf(masses, kind="truncated-limit", tail_bound=max(ZERO, 1 - acc))
+    q = f.q
+    return _truncated_limit(f, tol, 0, 1, lambda k, te: (
+        Fraction(1, q ** (k * (m + k))) * _tail_product(q, k + 1, te)
+        / _prod_one_minus_qinv(q, 1, m + k)))
 
 
 def limit_sym_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     """Truncated law of Q_{sym,inf} for symmetric uniform matrices."""
-    tol = _check_tol(tol)
-    q, te = f.q, _tol_exp(tol)
-    const = _sym_constant(q, te)
-    masses: dict[int, Fraction] = {}
-    acc = ZERO
-    k = 0
-    while 1 - acc >= tol:
-        den = ONE
-        for i in range(1, k + 1):
-            den *= q**i - 1
-        mass = const / den
-        masses[k] = mass
-        acc += mass
-        k += 1
-    return _pmf(masses, kind="truncated-limit", tail_bound=max(ZERO, 1 - acc))
+    q = f.q
+    return _truncated_limit(f, tol, 0, 1, lambda k, te: (
+        _sym_constant(q, te) / math.prod(q**i - 1 for i in range(1, k + 1))))
 
 
 def limit_alt_pmf(f: Field, parity: str, tol=Fraction(1, 10**12)) -> CorankPMF:
@@ -234,21 +233,49 @@ def limit_alt_pmf(f: Field, parity: str, tol=Fraction(1, 10**12)) -> CorankPMF:
         raise EvenCharacteristic("alternating model requires odd q")
     if parity not in ("even", "odd"):
         raise InvalidArgument("parity must be 'even' or 'odd'")
-    tol = _check_tol(tol)
-    q, te = f.q, _tol_exp(tol)
-    const = _sym_constant(q, te)
-    masses: dict[int, Fraction] = {}
-    acc = ZERO
-    k = 0 if parity == "even" else 1
-    while 1 - acc >= tol:
-        den = ONE
-        for i in range(1, k + 1):
-            den *= q**i - 1
-        mass = const * Fraction(q**k) / den
-        masses[k] = mass
-        acc += mass
-        k += 2
-    return _pmf(masses, kind="truncated-limit", tail_bound=max(ZERO, 1 - acc))
+    q = f.q
+    return _truncated_limit(f, tol, 0 if parity == "even" else 1, 2, lambda k, te: (
+        _sym_constant(q, te) * q**k / math.prod(q**i - 1 for i in range(1, k + 1))))
+
+
+# ---------------------------------------------------------------------------
+# lookup by kind
+# ---------------------------------------------------------------------------
+
+# model and chain kinds whose corank law is one of the four law kinds
+_LAW_OF = {"iid-square": "square", "iid-column": "square", "iid-rect": "rect",
+           "gl-minus-identity": "square", "gl-corner": "square"}
+LAW_KINDS = ("square", "rect", "symmetric", "alternating")
+
+
+def _law_kind(kind: str) -> str:
+    kind = _LAW_OF.get(kind, kind)
+    if kind not in LAW_KINDS:
+        raise InvalidArgument(f"no corank law for kind {kind!r}")
+    return kind
+
+
+def uniform_pmf(kind: str, n: int, f: Field, m: int = 0) -> CorankPMF:
+    """Exact finite-n law of a law kind or of the model kind that follows it;
+    m (extra columns) is read only by rect."""
+    kind = _law_kind(kind)
+    if kind == "symmetric":
+        return uniform_sym_pmf(n, f)
+    if kind == "alternating":
+        return uniform_alt_pmf(n, f)
+    return uniform_rect_pmf(n, m if kind == "rect" else 0, f)
+
+
+def limit_pmf(kind: str, f: Field, m: int = 0, parity: str | None = None,
+              tol=Fraction(1, 10**12)) -> CorankPMF:
+    """Truncated limit law of a law kind or of the model kind that follows it;
+    parity ('even' or 'odd') is read only by alternating."""
+    kind = _law_kind(kind)
+    if kind == "symmetric":
+        return limit_sym_pmf(f, tol)
+    if kind == "alternating":
+        return limit_alt_pmf(f, parity, tol)
+    return limit_rect_pmf(m if kind == "rect" else 0, f, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ class NotPrimePower(FqRankError):
 
 
 class TooLarge(FqRankError):
-    """Field size q exceeds the table-building cap."""
+    """A field size or matrix size exceeds its cap."""
 
 
 class DimensionMismatch(FqRankError):

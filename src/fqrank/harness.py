@@ -8,14 +8,22 @@ walks its range in blocks of consecutive trials, sampled into one stack and
 ranked by one call of the stack kernel; a block holds about 2^18
 matrix entries, so memory stays bounded for any matrix size, and the counts
 do not depend on where the blocks fall.
+
+CHECKS is the one registry of verification checks: an ordered table of
+named check groups, one per acceptance criterion plus the GL subspace
+checks, each tagged with the `fqrank verify` suite that runs it.  A group
+yields its VerificationReports at fixed grids, seeds, trial counts and
+thresholds; the acceptance gate and the CLI both read them from here.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
 import time
 from collections import Counter
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -23,16 +31,18 @@ from itertools import product
 
 import numpy as np
 
-from ._fast import rank_mod_p, rank_stack
-from .distributions import (CorankPMF, limit_alt_pmf, limit_rect_pmf,
-                            limit_sym_pmf, limit_square_pmf, tv_distance,
-                            uniform_alt_pmf, uniform_rect_pmf, uniform_sym_pmf,
-                            uniform_square_pmf, _pmf)
-from .errors import InvalidSpec, TooLargeToEnumerate
-from .field import Field
+from ._fast import rank_stack
+from .chain import (ChainSpec, delta_pmf, enumerate_positive_paths, evolve,
+                    hit_zero_prob, most_likely_positive_path, planted_pmf)
+from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
+from .errors import InvalidSpec, NotPrimePower, TooLargeToEnumerate
+from .field import Field, _factor_prime_power, field_new
 from .matrix import FqMatrix
-from .models import (EntryDist, ModelSpec, TypeFSpec, derive_rng, sample_gl,
-                     sample_stack, uniform_entry_dist)
+from .models import (EntryDist, ModelSpec, TypeFSpec, band_type_f, derive_rng,
+                     near_uniform_dist, sample_gl, sample_stack,
+                     uniform_entry_dist)
+from .structure import (SLACK, check_decoupling, check_unconc_implies_uniform,
+                        f_abs, threshold_set)
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -95,9 +105,14 @@ def _jsonable(v):
 _BLOCK_ENTRIES = 1 << 18
 
 
+def _block_size(rows: int, cols: int) -> int:
+    """Trials per block for matrices of the given shape."""
+    return max(1, _BLOCK_ENTRIES // (rows * cols))
+
+
 def _count_chunk(spec: ModelSpec, seed: int, start: int, stop: int) -> Counter:
     rows, cols = spec.shape
-    block = max(1, _BLOCK_ENTRIES // (rows * cols))
+    block = _block_size(rows, cols)
     c: Counter = Counter()
     for a in range(start, stop, block):
         rngs = [derive_rng(seed, t) for t in range(a, min(a + block, stop))]
@@ -119,6 +134,8 @@ def mc_corank(spec: ModelSpec, trials: int, seed: int,
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
     threads = worker_count() if threads is None else max(1, threads)
+    # a worker gets at least one block, so a one-block run stays serial
+    threads = min(threads, math.ceil(trials / _block_size(*spec.shape)))
     if threads == 1:
         counts = _count_chunk(spec, seed, 0, trials)
     else:
@@ -230,27 +247,15 @@ def fg_sandwich_check(kind: str, n: int, f: Field, m: int = 0) -> VerificationRe
     """TV(finite-n law, limiting law) against the published sandwich bounds."""
     t0 = time.perf_counter()
     q = f.q
-    tol = Fraction(1, 10**25)
-    if kind == "square":
-        finite, limit = uniform_square_pmf(n, f), limit_square_pmf(f, tol)
-        lo, lo_off, hi, hi_off = _FG_BOUNDS["square"]["any"]
-    elif kind == "rect":
-        finite, limit = uniform_rect_pmf(n, m, f), limit_rect_pmf(m, f, tol)
-        lo, lo_off, hi, hi_off = _FG_BOUNDS["rect"]["any"]
-        lo_off += m
-        hi_off += m
-    elif kind == "symmetric":
-        finite, limit = uniform_sym_pmf(n, f), limit_sym_pmf(f, tol)
-        lo, lo_off, hi, hi_off = _FG_BOUNDS["symmetric"]["even" if n % 2 == 0 else "odd"]
-    elif kind == "alternating":
-        parity = "even" if n % 2 == 0 else "odd"
-        finite, limit = uniform_alt_pmf(n, f), limit_alt_pmf(f, parity, tol)
-        lo, lo_off, hi, hi_off = _FG_BOUNDS["alternating"][parity]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    parity = "even" if n % 2 == 0 else "odd"
+    finite = uniform_pmf(kind, n, f, m)
+    limit = limit_pmf(kind, f, m, parity, Fraction(1, 10**25))
+    bounds = _FG_BOUNDS[kind]
+    lo, lo_off, hi, hi_off = bounds.get(parity) or bounds["any"]
+    shift = m if kind == "rect" else 0
     tv, err = tv_distance(finite, limit)
-    lower = lo / q ** (n + lo_off)
-    upper = hi / q ** (n + hi_off)
+    lower = lo / q ** (n + lo_off + shift)
+    upper = hi / q ** (n + hi_off + shift)
     passed = (tv + err >= lower) and (tv - err <= upper) and err <= Fraction(1, 10**20)
     return VerificationReport(
         claim_id=f"fg-sandwich-{kind}-n{n}-q{q}" + (f"-m{m}" if kind == "rect" else ""),
@@ -268,17 +273,20 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
     t0 = time.perf_counter()
     q = f.q
     hits = 0
-    for t in range(trials):
-        rng = derive_rng(seed, t)
-        while True:
-            basis = rng.integers(0, q, size=(n, n - d))
-            if rank_mod_p(basis, q) == n - d:
-                break
-        x = dist.draw_array(rng, n)
-        x[:k_bad] = 0
-        aug = np.concatenate([basis, x[:, None]], axis=1)
-        if rank_mod_p(aug, q) == n - d:
-            hits += 1
+    block = _block_size(n, n - d + 1)
+    for a in range(0, trials, block):
+        rngs = [derive_rng(seed, t) for t in range(a, min(a + block, trials))]
+        # each trial redraws its basis from its own stream until it has full
+        # rank, then draws x: the calls of one trial at a time
+        basis = np.zeros((len(rngs), n, n - d), dtype=np.int64)
+        todo = np.arange(len(rngs))
+        while todo.size:
+            basis[todo] = [rngs[i].integers(0, q, size=(n, n - d)) for i in todo]
+            todo = todo[rank_stack(basis[todo], q) < n - d]
+        x = np.stack([dist.draw_array(rng, n) for rng in rngs])
+        x[:, :k_bad] = 0
+        aug = np.concatenate([basis, x[:, :, None]], axis=2)
+        hits += int((rank_stack(aug, q) == n - d).sum())
     emp = Fraction(hits, trials)
     bound = float(dist.C / q) ** (d - k_bad) if d >= k_bad else 1.0
     slack = 3 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials) + 2 / trials
@@ -380,21 +388,34 @@ def tv_report(result: MCResult, reference: CorankPMF,
     )
 
 
-def _enumerate_gl(n: int, f: Field) -> list[tuple[int, ...]]:
-    out = []
-    for entries in product(range(f.q), repeat=n * n):
-        if FqMatrix(f, n, n, entries).rank() == n:
-            out.append(entries)
-    return out
+def mc_limit_check(spec: ModelSpec, trials: int, seed: int,
+                   threshold: float) -> VerificationReport:
+    """Monte Carlo corank law of spec against the limit law of its kind:
+    TV at most threshold and, on alternating kinds, every corank of the
+    parity of n."""
+    t0 = time.perf_counter()
+    res = mc_corank(spec, trials, seed)
+    n, f = spec.n, spec.field
+    ref = limit_pmf(spec.kind, f, spec.m, "even" if n % 2 == 0 else "odd")
+    claim = (f"mc-limit-{spec.kind}-n{n}" + (f"-m{spec.m}" if spec.m else "")
+             + (f"-nprime{spec.n_prime}" if spec.n_prime else "") + f"-q{f.q}")
+    rep = tv_report(res, ref, threshold, claim)
+    if "alternating" in spec.kind:
+        rep.computed["parity_ok"] = all(k % 2 == n % 2 for k in res.counts)
+        rep.passed = rep.passed and rep.computed["parity_ok"]
+    rep.runtime = time.perf_counter() - t0
+    return rep
 
 
 def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> VerificationReport:
     """Chi-square goodness of fit of sample_gl against the uniform law on the
-    enumerated elements of GL_n(F_q) (small n only)."""
+    enumerated elements of GL_n(F_q) (small n only); the enumeration must
+    find all prod_{i<n} (q^n - q^i) of them."""
     from scipy.stats import chi2
 
     t0 = time.perf_counter()
-    cells = _enumerate_gl(n, f)
+    cells = [e for e in product(range(f.q), repeat=n * n)
+             if FqMatrix(f, n, n, e).rank() == n]
     index = {m: i for i, m in enumerate(cells)}
     counts = np.zeros(len(cells), dtype=np.int64)
     for t in range(trials):
@@ -403,12 +424,13 @@ def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> Verificatio
     expected = trials / len(cells)
     stat = float(np.sum((counts - expected) ** 2 / expected))
     pvalue = float(chi2.sf(stat, len(cells) - 1))
+    order = math.prod(f.q**n - f.q**i for i in range(n))
     return VerificationReport(
         claim_id=f"gl-uniformity-n{n}-q{f.q}",
         computed={"chi_square": stat, "p_value": pvalue, "cells": len(cells),
                   "trials": trials},
-        bounds={"p_value_min": 1e-3},
-        passed=pvalue > 1e-3,
+        bounds={"p_value_min": 1e-3, "cells": order},
+        passed=pvalue > 1e-3 and len(cells) == order,
         runtime=time.perf_counter() - t0,
     )
 
@@ -417,16 +439,7 @@ def formula_enumeration_check(kind: str, n: int, f: Field, m: int = 0) -> Verifi
     """Closed-form finite-n PMF against the weighted enumeration oracle;
     the two must agree as exact rationals."""
     t0 = time.perf_counter()
-    if kind == "iid-square":
-        closed = uniform_square_pmf(n, f)
-    elif kind == "iid-rect":
-        closed = uniform_rect_pmf(n, m, f)
-    elif kind == "symmetric":
-        closed = uniform_sym_pmf(n, f)
-    elif kind == "alternating":
-        closed = uniform_alt_pmf(n, f)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    closed = uniform_pmf(kind, n, f, m)
     spec = ModelSpec(kind=kind, field=f, n=n, m=m)
     enum = brute_force_pmf(spec)
     passed = dict(closed.support) == dict(enum.support)
@@ -441,17 +454,9 @@ def formula_enumeration_check(kind: str, n: int, f: Field, m: int = 0) -> Verifi
 
 def chain_consistency_check(kind: str, n: int, f: Field) -> VerificationReport:
     """evolve(delta_0, n) against the matching closed-form finite-n law."""
-    from .chain import ChainSpec, delta_pmf, evolve
-
     t0 = time.perf_counter()
-    if kind == "symmetric":
-        spec, closed = ChainSpec("symmetric", f), uniform_sym_pmf(n, f)
-    elif kind == "alternating":
-        spec, closed = ChainSpec("alternating", f), uniform_alt_pmf(n, f)
-    elif kind == "iid-column":
-        spec, closed = ChainSpec("iid-column", f, n=n), uniform_square_pmf(n, f)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    spec = ChainSpec(kind, f, n=n if kind == "iid-column" else None)
+    closed = uniform_pmf(kind, n, f)
     evolved = evolve(spec, delta_pmf(0), n)
     passed = dict(evolved.support) == dict(closed.support)
     return VerificationReport(
@@ -466,18 +471,10 @@ def chain_consistency_check(kind: str, n: int, f: Field) -> VerificationReport:
 def planted_tv_check(kind: str, x0: int, added_steps: int, f: Field) -> VerificationReport:
     """TV(planted-corner law, limiting law) against the exact bound
     3^(n/2) / q^(n/2 - m0) with n = x0 + added_steps and m0 = x0."""
-    from .chain import planted_pmf
-    from .distributions import limit_alt_pmf, limit_sym_pmf
-
     t0 = time.perf_counter()
     n, m0, q = x0 + added_steps, x0, f.q
-    tol = Fraction(1, 10**30)
-    if kind == "symmetric":
-        limit = limit_sym_pmf(f, tol)
-    elif kind == "alternating":
-        limit = limit_alt_pmf(f, "even" if n % 2 == 0 else "odd", tol)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    limit = limit_pmf(kind, f, parity="even" if n % 2 == 0 else "odd",
+                      tol=Fraction(1, 10**30))
     planted = planted_pmf(kind, x0, added_steps, f)
     tv, err = tv_distance(planted, limit)
     bound = Fraction(3 ** (n // 2), q ** (n // 2 - m0))
@@ -494,8 +491,6 @@ def planted_tv_check(kind: str, x0: int, added_steps: int, f: Field) -> Verifica
 def hit_zero_bound_check(kind: str, m0: int, s: int, f: Field) -> VerificationReport:
     """Exact hitting-zero probability within s steps from corank m0 against
     the lower bound 1 - 3^s / q^(s - m0)."""
-    from .chain import ChainSpec, hit_zero_prob
-
     t0 = time.perf_counter()
     spec = ChainSpec(kind, f) if kind != "iid-column" else ChainSpec(kind, f, n=m0 + s)
     prob = hit_zero_prob(spec, m0, s)
@@ -513,8 +508,6 @@ def hit_zero_bound_check(kind: str, m0: int, s: int, f: Field) -> VerificationRe
 def path_claim_check(kind: str, x0: int, steps: int, f: Field) -> VerificationReport:
     """most_likely_positive_path against exhaustive enumeration of all
     strictly positive paths (ties count as success)."""
-    from .chain import ChainSpec, enumerate_positive_paths, most_likely_positive_path
-
     t0 = time.perf_counter()
     spec = ChainSpec(kind, f)
     path, prob = most_likely_positive_path(spec, x0, steps)
@@ -543,11 +536,6 @@ def _random_dist(rnd, q: int) -> EntryDist:
 def unconc_uniform_suite(count: int, seed: int) -> VerificationReport:
     """Randomized instances of the subspace anti-concentration inequality
     |P(X in H) - q^-d| <= 2 * max_w |P(X.w = 0) - 1/q|."""
-    import random
-
-    from .field import field_new
-    from .structure import check_unconc_implies_uniform
-
     t0 = time.perf_counter()
     rnd = random.Random(seed)
     failures = []
@@ -580,10 +568,6 @@ def unconc_uniform_suite(count: int, seed: int) -> VerificationReport:
 def decoupling_suite(count: int, seed: int) -> VerificationReport:
     """Randomized instances of the decoupling inequality
     sup_r |P(x.Ax + b.x = r) - 1/q|^4 <= |P(y.A'y = 0) - 1/q|."""
-    import random
-
-    from .structure import check_decoupling
-
     t0 = time.perf_counter()
     rnd = random.Random(seed)
     failures = []
@@ -611,11 +595,6 @@ def decoupling_suite(count: int, seed: int) -> VerificationReport:
 def threshold_parseval_check(q_max: int, seed: int = 0) -> VerificationReport:
     """|T| <= C*q/K^2 and sum_y f(y)^2 <= C over all prime powers q <= q_max,
     for a family of stress distributions and a grid of K values."""
-    import random
-
-    from .field import field_new
-    from .structure import SLACK, f_abs, threshold_set
-
     t0 = time.perf_counter()
     rnd = random.Random(seed)
     failures = []
@@ -648,8 +627,6 @@ def threshold_parseval_check(q_max: int, seed: int = 0) -> VerificationReport:
 
 
 def _is_prime_power(q: int) -> bool:
-    from .errors import NotPrimePower
-    from .field import _factor_prime_power
     try:
         _factor_prime_power(q)
         return True
@@ -671,3 +648,131 @@ def spiked_dist(q: int) -> EntryDist:
         return EntryDist((Fraction(1, 2), Fraction(1, 2)))
     rest = Fraction(1, 2 * (q - 1))
     return EntryDist((Fraction(1, 2),) + (rest,) * (q - 1))
+
+
+# ---------------------------------------------------------------------------
+# the check registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckGroup:
+    """A group of checks at fixed grids, seeds, trial counts and thresholds,
+    and the `fqrank verify` suite that runs it."""
+
+    suite: str
+    run: Callable[[], Iterator[VerificationReport]]
+
+
+def _formula_enumeration():
+    for q in (2, 3):
+        f = field_new(q)
+        for n in (1, 2, 3):
+            yield formula_enumeration_check("iid-square", n, f)
+            yield formula_enumeration_check("symmetric", n, f)
+        yield formula_enumeration_check("iid-rect", 2, f, m=1)
+    for n in (1, 2, 3, 4):
+        yield formula_enumeration_check("alternating", n, field_new(3))
+
+
+def _chain_consistency():
+    for q in (2, 3, 5):
+        kinds = ("symmetric", "iid-column") + (("alternating",) if q % 2 else ())
+        for n in range(1, 9):
+            for kind in kinds:
+                yield chain_consistency_check(kind, n, field_new(q))
+
+
+def _fg_sandwich():
+    for kind, qs, ns in (("square", (2, 3, 4, 5), range(4, 9)),
+                         ("symmetric", (2, 3), range(4, 8)),
+                         ("alternating", (3, 5), range(4, 8))):
+        for q in qs:
+            for n in ns:
+                yield fg_sandwich_check(kind, n, field_new(q))
+
+
+def _gl_uniformity():
+    yield gl_uniformity_check(2, field_new(2), 60000, seed=101)
+    yield gl_uniformity_check(2, field_new(3), 100000, seed=102)
+
+
+def _gl_minus_identity():
+    spec = ModelSpec(kind="gl-minus-identity", field=field_new(7), n=40)
+    yield mc_limit_check(spec, 20000, seed=105, threshold=0.02)
+
+
+def _gl_corner():
+    spec = ModelSpec(kind="gl-corner", field=field_new(5), n=40, n_prime=20)
+    rep = mc_limit_check(spec, 20000, seed=106, threshold=0.02)
+    # the theorem's bound 3/q^n' + 2^(n'+1)/q^(n-n') on the exact TV
+    rep.bounds["exact_tv_bound"] = Fraction(3 + 2**21, 5**20)
+    yield rep
+
+
+def _planted_corner():
+    for kind in ("symmetric", "alternating"):
+        yield planted_tv_check(kind, 4, 36, field_new(7))
+
+
+def _hit_zero():
+    for q in (5, 7, 11):
+        for m0 in (1, 2, 4):
+            for s in (8, 10, 12):
+                yield hit_zero_bound_check("symmetric", m0, s, field_new(q))
+
+
+def _most_likely_path():
+    for kind, q in (("symmetric", 2), ("symmetric", 3), ("alternating", 3)):
+        f = field_new(q)
+        for x0 in (1, 2, 3, 4):
+            for steps in (3, 6, 9):
+                yield path_claim_check(kind, x0, steps, f)
+        yield path_claim_check(kind, 4, 12, f)
+
+
+def _near_uniform():
+    f = field_new(101)
+    d = near_uniform_dist(f, set(range(51, 101)))  # C = 101/51, about 1.98
+    for kind, n, m in (("iid-square", 50, 0), ("iid-rect", 50, 5),
+                       ("symmetric", 50, 0), ("alternating", 51, 0)):
+        spec = ModelSpec(kind=kind, field=f, n=n, m=m, entries=d,
+                         type_f=band_type_f(n, 0.05))
+        yield mc_limit_check(spec, 20000, seed=110, threshold=0.02)
+
+
+def _structure_inequalities():
+    yield unconc_uniform_suite(200, seed=111)
+    yield decoupling_suite(100, seed=112)
+    yield threshold_parseval_check(101)
+
+
+def _zero_diag_count():
+    for n, q in ((2, 2), (3, 2), (4, 2), (3, 3)):
+        yield zero_diag_count_check(n, field_new(q))
+
+
+def _gl_subspaces():
+    yield submatrix_fullrank_check(8, 3, 6, 4000, seed=13, f=field_new(2))
+    yield submatrix_fullrank_check(6, 2, 2, 2000, seed=14, f=field_new(3))
+    f5 = field_new(5)
+    yield odlyzko_check(6, 3, 0, uniform_entry_dist(f5), 4000, 15, f5)
+
+
+# Group name -> group, in the order of the twelve acceptance criteria, then
+# the checks only `fqrank verify` runs.  The acceptance gate runs each group
+# once; `fqrank verify SUITE` runs every group of that suite, in this order.
+CHECKS: dict[str, CheckGroup] = {
+    "formula-enumeration": CheckGroup("formulas", _formula_enumeration),
+    "chain-consistency": CheckGroup("chain", _chain_consistency),
+    "fg-sandwich": CheckGroup("sandwich", _fg_sandwich),
+    "gl-uniformity": CheckGroup("gl", _gl_uniformity),
+    "gl-minus-identity": CheckGroup("theorems", _gl_minus_identity),
+    "gl-corner": CheckGroup("theorems", _gl_corner),
+    "planted-corner": CheckGroup("chain", _planted_corner),
+    "hit-zero": CheckGroup("chain", _hit_zero),
+    "most-likely-path": CheckGroup("chain", _most_likely_path),
+    "near-uniform": CheckGroup("theorems", _near_uniform),
+    "structure-inequalities": CheckGroup("structure", _structure_inequalities),
+    "zero-diag-count": CheckGroup("counting", _zero_diag_count),
+    "gl-subspaces": CheckGroup("gl", _gl_subspaces),
+}

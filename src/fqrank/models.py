@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from ._fast import SpanTracker, rank_mod_p
-from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec
+from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec, TooLarge
 from .field import Field, field_new
 from .matrix import FqMatrix, dumps_matrix, loads_matrix
 
@@ -33,6 +33,7 @@ KINDS = (
     "uniform-gl", "gl-minus-identity", "gl-corner",
     "planted-symmetric", "planted-alternating",
 )
+MAX_ENTRIES = 1 << 22  # per matrix: a draw is a 32 MB int64 array at the cap
 
 
 def derive_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -194,6 +195,8 @@ class ModelSpec:
             if d.q != f.q:
                 raise InvalidSpec("entry distribution length != q (distribution sum)")
         rows, cols = self.shape
+        if rows * cols > MAX_ENTRIES:
+            raise TooLarge(f"a {rows}x{cols} matrix exceeds the cap of 2^22 entries")
         for i, j, _ in self.overrides:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise InvalidSpec("override index out of range")
@@ -271,12 +274,14 @@ class ModelSpec:
         return json.dumps(obj)
 
     @staticmethod
-    def from_json(text: str | dict) -> "ModelSpec":
+    def from_json(text: str | bytes | dict) -> "ModelSpec":
         try:
-            return ModelSpec._from_obj(json.loads(text) if isinstance(text, str) else text)
+            obj = json.loads(text) if isinstance(text, (str, bytes)) else text
+            return ModelSpec._from_obj(obj)
         except FqRankError:
             raise
-        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+                OverflowError) as exc:
             raise InvalidSpec(f"malformed spec: {type(exc).__name__}: {exc}") from exc
 
     @staticmethod

@@ -1,25 +1,19 @@
 """Acceptance gate: twelve end-to-end criteria, one test each.
 
-Every test prints a single PASS/FAIL line (visible with pytest -s or in the
-captured output of a failing run) and asserts the same condition.
+Every test runs one group of the check registry (fqrank.harness.CHECKS),
+which holds its grids, seeds, trial counts and thresholds, prints a single
+PASS/FAIL line (visible with pytest -s or in the captured output of a
+failing run) and asserts that every check of the group passed.
 """
 import time
-from fractions import Fraction
 
-from fqrank.chain import ChainSpec, delta_pmf, evolve
-from fqrank.distributions import (limit_alt_pmf, limit_square_pmf,
-                                  limit_sym_pmf, limit_rect_pmf, tv_distance,
-                                  uniform_alt_pmf, uniform_square_pmf,
-                                  uniform_sym_pmf, uniform_rect_pmf)
-from fqrank.field import field_new
-from fqrank.harness import (decoupling_suite, fg_sandwich_check,
-                            formula_enumeration_check, gl_uniformity_check,
-                            hit_zero_bound_check, mc_corank, path_claim_check,
-                            planted_tv_check, threshold_parseval_check,
-                            unconc_uniform_suite, zero_diag_count_check)
-from fqrank.models import ModelSpec, band_type_f, near_uniform_dist
+from fqrank.harness import CHECKS
 
 THREADS = 4
+
+
+def _run(group: str) -> list:
+    return list(CHECKS[group].run())
 
 
 def _report(num: int, name: str, passed: bool, t0: float, detail: str = ""):
@@ -29,166 +23,90 @@ def _report(num: int, name: str, passed: bool, t0: float, detail: str = ""):
     assert passed, f"criterion {num} ({name}) failed{extra}"
 
 
+def _tv(rep) -> str:
+    return f"{float(rep.computed['tv']):.4f}"
+
+
 def test_criterion_01_formula_enumeration_exactness():
     t0 = time.time()
-    ok = True
-    for q in (2, 3):
-        f = field_new(q)
-        for n in (1, 2, 3):
-            ok &= formula_enumeration_check("iid-square", n, f).passed
-            ok &= formula_enumeration_check("symmetric", n, f).passed
-        ok &= formula_enumeration_check("iid-rect", 2, f, m=1).passed
-    f3 = field_new(3)
-    for n in (1, 2, 3, 4):
-        ok &= formula_enumeration_check("alternating", n, f3).passed
+    ok = all(r.passed for r in _run("formula-enumeration"))
     _report(1, "formula-enumeration exactness", ok, t0)
 
 
 def test_criterion_02_chain_formula_consistency():
     t0 = time.time()
-    ok = True
-    for q in (2, 3, 5):
-        f = field_new(q)
-        for n in range(1, 9):
-            sym = evolve(ChainSpec("symmetric", f), delta_pmf(0), n)
-            ok &= sym.as_dict() == uniform_sym_pmf(n, f).as_dict()
-            iid = evolve(ChainSpec("iid-column", f, n=n), delta_pmf(0), n)
-            ok &= iid.as_dict() == uniform_square_pmf(n, f).as_dict()
-            if q % 2:
-                alt = evolve(ChainSpec("alternating", f), delta_pmf(0), n)
-                ok &= alt.as_dict() == uniform_alt_pmf(n, f).as_dict()
+    ok = all(r.passed for r in _run("chain-consistency"))
     _report(2, "chain-formula consistency", ok, t0)
 
 
 def test_criterion_03_rank_distance_sandwiches():
     t0 = time.time()
-    ok = True
-    for q in (2, 3, 4, 5):
-        f = field_new(q)
-        for n in range(4, 9):
-            ok &= fg_sandwich_check("square", n, f).passed
-    for q in (2, 3):
-        f = field_new(q)
-        for n in range(4, 8):
-            ok &= fg_sandwich_check("symmetric", n, f).passed
-    for q in (3, 5):
-        f = field_new(q)
-        for n in range(4, 8):
-            ok &= fg_sandwich_check("alternating", n, f).passed
+    ok = all(r.passed for r in _run("fg-sandwich"))
     _report(3, "rank-distance sandwich bounds", ok, t0)
 
 
 def test_criterion_04_gl_sampler_uniformity():
     t0 = time.time()
-    r2 = gl_uniformity_check(2, field_new(2), 60000, seed=101)
-    r3 = gl_uniformity_check(2, field_new(3), 100000, seed=102)
-    ok = r2.passed and r3.passed and r2.computed["cells"] == 6 \
-        and r3.computed["cells"] == 48
-    _report(4, "GL sampler uniformity", ok, t0,
-            f"p={r2.computed['p_value']:.3g},{r3.computed['p_value']:.3g}")
+    reports = _run("gl-uniformity")
+    _report(4, "GL sampler uniformity", all(r.passed for r in reports), t0,
+            "p=" + ",".join(f"{r.computed['p_value']:.3g}" for r in reports))
 
 
-def test_criterion_05_gl_minus_identity_universality():
+def test_criterion_05_gl_minus_identity_universality(monkeypatch):
     t0 = time.time()
-    f = field_new(7)
-    spec = ModelSpec(kind="gl-minus-identity", field=f, n=40)
-    res = mc_corank(spec, 20000, seed=105, threads=THREADS)
-    tv, _ = tv_distance(res.empirical, limit_square_pmf(f))
-    ok = float(tv) <= 0.02
-    _report(5, "invertible-minus-identity corank law", ok, t0,
-            f"tv={float(tv):.4f} (property-level, noise-dominated)")
+    monkeypatch.setenv("FQRANK_THREADS", str(THREADS))
+    (rep,) = _run("gl-minus-identity")
+    _report(5, "invertible-minus-identity corank law", rep.passed, t0,
+            f"tv={_tv(rep)} (property-level, noise-dominated)")
 
 
-def test_criterion_06_gl_corner_universality():
+def test_criterion_06_gl_corner_universality(monkeypatch):
     t0 = time.time()
-    f = field_new(5)
-    n, n_prime = 40, 20
-    spec = ModelSpec(kind="gl-corner", field=f, n=n, n_prime=n_prime)
-    res = mc_corank(spec, 20000, seed=106, threads=THREADS)
-    tv, _ = tv_distance(res.empirical, limit_square_pmf(f))
-    bound = Fraction(3, 5**n_prime) + Fraction(2 ** (n_prime + 1), 5 ** (n - n_prime))
-    ok = float(tv) <= 0.02
-    _report(6, "invertible-corner corank law", ok, t0,
-            f"tv={float(tv):.4f}, exact bound={float(bound):.3g}")
+    monkeypatch.setenv("FQRANK_THREADS", str(THREADS))
+    (rep,) = _run("gl-corner")
+    _report(6, "invertible-corner corank law", rep.passed, t0,
+            f"tv={_tv(rep)}, exact bound={float(rep.bounds['exact_tv_bound']):.3g}")
 
 
 def test_criterion_07_planted_corner_convergence():
     t0 = time.time()
-    f = field_new(7)
-    sym = planted_tv_check("symmetric", 4, 36, f)
-    alt = planted_tv_check("alternating", 4, 36, f)
-    ok = sym.passed and alt.passed
-    _report(7, "planted-corner convergence", ok, t0,
+    sym, alt = _run("planted-corner")
+    _report(7, "planted-corner convergence", sym.passed and alt.passed, t0,
             f"sym tv={float(sym.computed['tv']):.3g} <= "
             f"{float(sym.bounds['bound']):.3g}")
 
 
 def test_criterion_08_hitting_zero_bound():
     t0 = time.time()
-    ok = True
-    checked = 0
-    for q in (5, 7, 11):
-        f = field_new(q)
-        for m0 in (1, 2, 4):
-            for s in (8, 10, 12):
-                rep = hit_zero_bound_check("symmetric", m0, s, f)
-                ok &= rep.passed
-                if rep.bounds["lower_bound"] > 0:
-                    checked += 1
-    _report(8, "hitting-zero lower bound", ok and checked > 0, t0,
+    reports = _run("hit-zero")
+    checked = sum(r.bounds["lower_bound"] > 0 for r in reports)
+    _report(8, "hitting-zero lower bound",
+            all(r.passed for r in reports) and checked > 0, t0,
             f"{checked} non-vacuous grid points")
 
 
 def test_criterion_09_most_likely_path():
     t0 = time.time()
-    ok = True
-    combos = (("symmetric", 2), ("symmetric", 3), ("alternating", 3))
-    for kind, q in combos:
-        f = field_new(q)
-        for x0 in (1, 2, 3, 4):
-            for steps in (3, 6, 9):
-                ok &= path_claim_check(kind, x0, steps, f).passed
-        ok &= path_claim_check(kind, 4, 12, f).passed
+    ok = all(r.passed for r in _run("most-likely-path"))
     _report(9, "most-likely positive path", ok, t0)
 
 
-def test_criterion_10_near_uniform_universality():
+def test_criterion_10_near_uniform_universality(monkeypatch):
     t0 = time.time()
-    f = field_new(101)
-    d = near_uniform_dist(f, set(range(51, 101)))  # C = 101/51, about 1.98
-    cases = [
-        ("iid-square", 50, 0, limit_square_pmf(f)),
-        ("iid-rect", 50, 5, limit_rect_pmf(5, f)),
-        ("symmetric", 50, 0, limit_sym_pmf(f)),
-        ("alternating", 51, 0, limit_alt_pmf(f, "odd")),
-    ]
-    ok = True
-    details = []
-    for kind, n, m, ref in cases:
-        spec = ModelSpec(kind=kind, field=f, n=n, m=m, entries=d,
-                         type_f=band_type_f(n, 0.05))
-        res = mc_corank(spec, 20000, seed=110, threads=THREADS)
-        tv, _ = tv_distance(res.empirical, ref)
-        ok &= float(tv) <= 0.02
-        if kind == "alternating":
-            ok &= all(k % 2 == 1 for k in res.counts)  # odd-support check
-        details.append(f"{kind}:{float(tv):.4f}")
-    _report(10, "near-uniform universality (property-level)", ok, t0,
-            "tv " + " ".join(details))
+    monkeypatch.setenv("FQRANK_THREADS", str(THREADS))
+    reports = _run("near-uniform")
+    _report(10, "near-uniform universality (property-level)",
+            all(r.passed for r in reports), t0,
+            "tv " + " ".join(f"{r.claim_id}:{_tv(r)}" for r in reports))
 
 
 def test_criterion_11_structure_inequality_suites():
     t0 = time.time()
-    unconc = unconc_uniform_suite(200, seed=111)
-    dec = decoupling_suite(100, seed=112)
-    thr = threshold_parseval_check(101)
-    ok = unconc.passed and dec.passed and thr.passed
+    ok = all(r.passed for r in _run("structure-inequalities"))
     _report(11, "structure inequality suites", ok, t0)
 
 
 def test_criterion_12_zero_diagonal_counting():
     t0 = time.time()
-    ok = True
-    for n, q in ((2, 2), (3, 2), (4, 2), (3, 3)):
-        ok &= zero_diag_count_check(n, field_new(q)).passed
+    ok = all(r.passed for r in _run("zero-diag-count"))
     _report(12, "zero-diagonal counting identity", ok, t0)

@@ -111,6 +111,12 @@ def test_error_exit_code(tmp_path, capsys):
     (None, ["dist", "square", "--n", "0", "--q", "3"], "InvalidArgument"),
     (None, ["chain", "symmetric", "--q", "3", "--x0", "-1", "--steps", "2"],
      "InvalidArgument"),
+    (None, ["dist", "square", "--q", "3", "--limit", "--tol", "nan"], "InvalidArgument"),
+    (None, ["dist", "square", "--q", "3", "--limit", "--tol", "inf"], "InvalidArgument"),
+    (None, ["dist", "square", "--q", "3", "--limit", "--tol", "0"], "InvalidArgument"),
+    (None, ["sample", "SPEC", "--seed", "1"], "InvalidArgument"),  # no such file
+    ({"kind": "iid-square", "q": 2, "n": 10**12}, ["sample", "SPEC", "--seed", "1"],
+     "TooLarge"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

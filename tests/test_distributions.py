@@ -1,12 +1,16 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from fqrank.distributions import (CorankPMF, limit_alt_pmf, limit_rect_pmf,
-                                  limit_sym_pmf, limit_square_pmf, tv_distance,
-                                  uniform_alt_pmf, uniform_rect_pmf,
-                                  uniform_sym_pmf, uniform_square_pmf)
-from fqrank.errors import EvenCharacteristic
+from fqrank.distributions import (CorankPMF, limit_alt_pmf, limit_pmf,
+                                  limit_rect_pmf, limit_sym_pmf,
+                                  limit_square_pmf, tv_distance,
+                                  uniform_alt_pmf, uniform_pmf,
+                                  uniform_rect_pmf, uniform_sym_pmf,
+                                  uniform_square_pmf)
+from fqrank.errors import EvenCharacteristic, InvalidArgument
 from fqrank.field import field_new
 
 F2 = field_new(2)
@@ -101,6 +105,64 @@ def test_limit_laws_tail_bounds():
         assert pmf.total() <= 1
         assert pmf.tail_bound <= TOL
         assert pmf.total() + pmf.tail_bound >= 1 - TOL
+
+
+def _long_masses(kind: str, q: int, m: int, ks) -> list[Decimal]:
+    """The limit masses at ks with every q-product cut at i = 400, in
+    400-digit decimal arithmetic."""
+    def prod(factors):
+        return math.prod(factors, start=Decimal(1))
+
+    def one_minus(i):
+        return 1 - Decimal(q) ** -i
+
+    odd = prod(one_minus(i) for i in range(1, 401, 2))
+    out = []
+    for k in ks:
+        if kind == "rect":
+            out.append(Decimal(q) ** (-k * (m + k)) * prod(one_minus(i) for i in range(k + 1, 401))
+                       / prod(one_minus(i) for i in range(1, m + k + 1)))
+        else:
+            den = prod(Decimal(q) ** i - 1 for i in range(1, k + 1))
+            out.append(odd * (Decimal(q) ** k if kind == "alternating" else 1) / den)
+    return out
+
+
+def test_limit_tail_bound_covers_truncation():
+    # the truncated masses overestimate the true ones; the tail bound must
+    # cover both the omitted mass and that overestimate
+    for q in (2, 3, 101):
+        f = field_new(q)
+        for tol in (Fraction(1, 10**12), TOL):
+            laws = [("rect", 0, limit_square_pmf(f, tol)), ("rect", 2, limit_rect_pmf(2, f, tol)),
+                    ("symmetric", 0, limit_sym_pmf(f, tol))]
+            if q % 2:
+                laws += [("alternating", 0, limit_alt_pmf(f, parity, tol))
+                         for parity in ("even", "odd")]
+            for kind, m, pmf in laws:
+                with localcontext() as ctx:
+                    ctx.prec = 400
+                    ks = [k for k, _ in pmf.support]
+                    kept = [Decimal(c.numerator) / c.denominator for _, c in pmf.support]
+                    long = _long_masses(kind, q, m, ks)
+                    need = (1 - sum(long)) + sum(abs(a - b) for a, b in zip(kept, long))
+                    assert need > 1 - sum(kept)  # the overestimate is real
+                    bound = Decimal(pmf.tail_bound.numerator) / pmf.tail_bound.denominator
+                    assert bound >= need, (q, tol, kind, m)
+
+
+def test_kind_lookup():
+    assert uniform_pmf("iid-rect", 3, F3, m=2) == uniform_rect_pmf(3, 2, F3)
+    assert uniform_pmf("square", 3, F3, m=2) == uniform_square_pmf(3, F3)  # m: rect only
+    assert uniform_pmf("iid-column", 3, F3) == uniform_square_pmf(3, F3)
+    assert uniform_pmf("alternating", 3, F3) == uniform_alt_pmf(3, F3)
+    assert limit_pmf("gl-corner", F3, tol=TOL) == limit_square_pmf(F3, TOL)
+    assert limit_pmf("symmetric", F3, parity="odd", tol=TOL) == limit_sym_pmf(F3, TOL)
+    assert limit_pmf("alternating", F3, parity="odd", tol=TOL) == limit_alt_pmf(F3, "odd", TOL)
+    with pytest.raises(InvalidArgument):
+        uniform_pmf("uniform-gl", 3, F3)
+    with pytest.raises(InvalidArgument):
+        limit_pmf("alternating", F3)  # no parity
 
 
 def test_limit_alt_parity_support():

@@ -2,19 +2,22 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fqrank import harness
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
 from fqrank.errors import TooLargeToEnumerate
 from fqrank.field import field_new
-from fqrank.harness import (_BLOCK_ENTRIES, brute_force_pmf,
+from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
                             chain_consistency_check, decoupling_suite, fg_sandwich_check,
                             formula_enumeration_check, gl_uniformity_check,
-                            mc_corank, odlyzko_check, submatrix_fullrank_check,
-                            threshold_parseval_check, tv_report,
-                            unconc_uniform_suite, zero_diag_count_check)
+                            mc_corank, mc_limit_check, odlyzko_check,
+                            submatrix_fullrank_check, threshold_parseval_check,
+                            tv_report, unconc_uniform_suite, zero_diag_count_check)
+from fqrank.matrix import FqMatrix
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, corank_of_sample,
-                           near_uniform_dist, uniform_entry_dist)
+                           derive_rng, near_uniform_dist, uniform_entry_dist)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -76,6 +79,34 @@ def test_mc_corank_parallel_matches_serial():
                 assert mc_corank(spec, trials, seed=5, threads=threads).counts == expected
 
 
+def test_mc_corank_one_block_stays_serial(monkeypatch):
+    class PoolStarted(Exception):
+        pass
+
+    def no_pool(*args, **kwargs):
+        raise PoolStarted
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    spec = ModelSpec(kind="iid-square", field=field_new(4), n=10)  # blocks of 2,621
+    expected = Counter(corank_of_sample(spec, 1, t) for t in range(400))
+    assert mc_corank(spec, 400, seed=1, threads=3).counts == expected
+    spec = ModelSpec(kind="symmetric", field=F3, n=128)  # blocks of 16
+    with pytest.raises(PoolStarted):
+        mc_corank(spec, 17, seed=1, threads=3)
+
+
+def test_mc_limit_check_parity(monkeypatch):
+    spec = ModelSpec(kind="alternating", field=F3, n=7)
+    rep = mc_limit_check(spec, 2000, seed=4, threshold=0.05)
+    assert rep.passed and rep.computed["parity_ok"]
+    assert rep.claim_id == "mc-limit-alternating-n7-q3"
+    # one even corank fails an odd-n alternating law whatever the TV
+    monkeypatch.setattr(harness, "mc_corank", lambda spec, trials, seed:
+                        MCResult.from_counts({1: 1999, 2: 1}, trials, seed))
+    rep = mc_limit_check(spec, 2000, seed=4, threshold=1.0)
+    assert not rep.passed and not rep.computed["parity_ok"]
+
+
 def test_fg_sandwich_square_example():
     rep = fg_sandwich_check("square", 6, F2)
     assert rep.passed
@@ -118,6 +149,32 @@ def test_odlyzko_trivial_and_uniform():
     assert rep.passed
 
 
+def _rank(f, a) -> int:
+    return FqMatrix(f, a.shape[0], a.shape[1], tuple(a.ravel().tolist())).rank()
+
+
+def test_odlyzko_blocks_match_per_trial_replay(monkeypatch):
+    # a small block size puts block boundaries inside the run
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 40)
+    trials, seed = 60, 9
+    for q in (4, 5):
+        f = field_new(q)
+        dist = near_uniform_dist(f, {1})
+        for n, d, k_bad in ((4, 0, 0), (4, 2, 1), (4, 4, 0), (5, 3, 2)):
+            hits = 0
+            for t in range(trials):
+                rng = derive_rng(seed, t)
+                while True:
+                    basis = rng.integers(0, q, size=(n, n - d))
+                    if _rank(f, basis) == n - d:
+                        break
+                x = dist.draw_array(rng, n)
+                x[:k_bad] = 0
+                hits += _rank(f, np.concatenate([basis, x[:, None]], axis=1)) == n - d
+            rep = odlyzko_check(n, d, k_bad, dist, trials, seed, f)
+            assert rep.computed["empirical"] == Fraction(hits, trials)
+
+
 def test_zero_diag_counts():
     rep = zero_diag_count_check(2, F2)
     assert rep.passed
@@ -145,7 +202,7 @@ def test_tv_report_same_law():
 
 def test_gl_uniformity_small():
     rep = gl_uniformity_check(2, F2, 6000, seed=17)
-    assert rep.computed["cells"] == 6
+    assert rep.computed["cells"] == rep.bounds["cells"] == 6
     assert rep.passed
 
 
