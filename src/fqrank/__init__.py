@@ -22,8 +22,8 @@ from .models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
                      sample_gl, uniform_entry_dist, validate_conditions)
 from .structure import (StructureReport, check_decoupling,
                         check_unconc_implies_uniform, diff_dist, f_abs,
-                        linear_form_pmf, quad_form_pmf, rho, subspace_prob,
-                        threshold_set)
+                        linear_form_pmf, moduli, quad_form_pmf, rho,
+                        subspace_prob, threshold_set)
 from .chain import (ChainSpec, delta_pmf, enumerate_positive_paths, evolve,
                     hit_zero_prob, most_likely_positive_path,
                     path_probability, planted_pmf, transition)
@@ -46,7 +46,7 @@ __all__ = [
     "dumps_matrix", "enumerate_positive_paths", "evolve", "f_abs",
     "fg_sandwich_check", "field_new", "gl_uniformity_check", "hit_zero_prob",
     "in_span", "limit_alt_pmf", "limit_rect_pmf", "limit_sym_pmf",
-    "limit_square_pmf", "linear_form_pmf", "loads_matrix", "mc_corank",
+    "limit_square_pmf", "linear_form_pmf", "loads_matrix", "mc_corank", "moduli",
     "most_likely_positive_path", "near_uniform_dist", "odlyzko_check",
     "path_probability", "planted_pmf", "quad_form_pmf", "rho", "sample",
     "sample_gl", "submatrix_fullrank_check", "subspace_prob",

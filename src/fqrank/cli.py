@@ -70,7 +70,9 @@ def cmd_dist(args) -> int:
         pmf = uniform_pmf(args.kind, args.n, f, args.m)
     if args.csv:
         _write_csv(args.csv, pmf)
-    _emit(json.loads(pmf.to_json()))
+    params = {"kind": args.kind, "n": args.n, "m": args.m, "parity": args.parity,
+              "limit": args.limit, "tol": float(tol)}
+    _emit(json.loads(pmf.to_json(f.q, params)))
     return 0
 
 
@@ -93,7 +95,8 @@ def cmd_mc(args) -> int:
         "trials": result.trials,
         "seed": result.seed,
         "counts": {str(k): v for k, v in sorted(result.counts.items())},
-        "empirical": json.loads(result.empirical.to_json()),
+        "empirical": json.loads(result.empirical.to_json(
+            spec.field.q, {"trials": args.trials, "seed": args.seed})),
         "ci_half_widths": {str(k): v for k, v in sorted(result.ci_half_widths.items())},
         "noise_floor": result.noise_floor(),
     }
@@ -123,16 +126,16 @@ def cmd_chain(args) -> int:
         path, prob = chain_mod.most_likely_positive_path(spec, args.x0, args.steps)
         _emit({"path": list(path), "probability": str(prob),
                "probability_float": float(prob)})
-    elif args.planted:
-        pmf = chain_mod.planted_pmf(args.kind, args.x0, args.steps, f)
-        if args.csv:
-            _write_csv(args.csv, pmf)
-        _emit(json.loads(pmf.to_json()))
     else:
-        pmf = chain_mod.evolve(spec, chain_mod.delta_pmf(args.x0), args.steps)
+        if args.planted:
+            pmf = chain_mod.planted_pmf(args.kind, args.x0, args.steps, f)
+        else:
+            pmf = chain_mod.evolve(spec, chain_mod.delta_pmf(args.x0), args.steps)
         if args.csv:
             _write_csv(args.csv, pmf)
-        _emit(json.loads(pmf.to_json()))
+        params = {"kind": args.kind, "n": n, "x0": args.x0, "steps": args.steps,
+                  "planted": args.planted}
+        _emit(json.loads(pmf.to_json(f.q, params)))
     return 0
 
 

@@ -187,24 +187,26 @@ def uniform_alt_pmf(n: int, f: Field) -> CorankPMF:
 # ---------------------------------------------------------------------------
 
 def _truncated_limit(f: Field, tol, first: int, step: int, mass) -> CorankPMF:
-    """Masses mass(k, te) at k = first, first + step, ... until less than tol
-    is left, with a rigorous tail bound.
+    """Lower bounds on the masses at k = first, first + step, ... until less
+    than tol is left, with a rigorous tail bound.
 
     Both q-products above keep every factor up to an index hi with
     q^hi >= 10^te and drop the factors (1 - q^-i), i > hi, whose product
     lies in [1 - delta, 1] with delta = sum_{i>hi} q^-i <= 10^-te / (q - 1).
-    Each kept mass is thus too large by at most delta times itself, and the
-    mass left out is at most 1 - acc + acc*delta, where acc is the kept sum."""
+    So mass(k, te) is too large by at most delta times itself, and
+    mass(k, te) * (1 - delta) is a lower bound on the true mass.  The kept
+    masses then sum to at most 1, and 1 minus their sum bounds the mass they
+    leave out."""
     tol = _check_tol(tol)
     te = _tol_exp(tol)
+    lower = 1 - Fraction(1, 10**te * (f.q - 1))
     masses: dict[int, Fraction] = {}
     acc, k = ZERO, first
     while 1 - acc >= tol:
-        masses[k] = mass(k, te)
+        masses[k] = mass(k, te) * lower
         acc += masses[k]
         k += step
-    delta = Fraction(1, 10**te * (f.q - 1))
-    return _pmf(masses, kind="truncated-limit", tail_bound=1 - acc + 2 * acc * delta)
+    return _pmf(masses, kind="truncated-limit", tail_bound=1 - acc)
 
 
 def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:

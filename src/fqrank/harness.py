@@ -42,7 +42,7 @@ from .models import (EntryDist, ModelSpec, TypeFSpec, band_type_f, derive_rng,
                      near_uniform_dist, sample_gl, sample_stack,
                      uniform_entry_dist)
 from .structure import (SLACK, check_decoupling, check_unconc_implies_uniform,
-                        f_abs, threshold_set)
+                        moduli, threshold_set)
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -609,7 +609,7 @@ def threshold_parseval_check(q_max: int, seed: int = 0) -> VerificationReport:
         ]
         for d in dists:
             C = float(d.C)
-            parseval = sum(f_abs(d, y) ** 2 for y in range(q))
+            parseval = sum(v ** 2 for v in moduli(d))
             if parseval > C + SLACK:
                 failures.append({"q": q, "check": "parseval", "sum": parseval, "C": C})
             for K in (0.5, 1.0, 2.0, 4.0):

@@ -33,6 +33,7 @@ KINDS = (
     "uniform-gl", "gl-minus-identity", "gl-corner",
     "planted-symmetric", "planted-alternating",
 )
+GL_KINDS = ("uniform-gl", "gl-minus-identity", "gl-corner")
 MAX_ENTRIES = 1 << 22  # per matrix: a draw is a 32 MB int64 array at the cap
 
 
@@ -191,10 +192,17 @@ class ModelSpec:
                 raise InvalidSpec("planted corner must be symmetric")
             if self.kind == "planted-alternating" and not self.planted.is_alternating():
                 raise InvalidSpec("planted corner must be alternating")
+            if self.entries is not None:
+                raise InvalidSpec("planted kinds draw uniform entries; entries not allowed")
+        if self.kind in GL_KINDS and (self.entries is not None or self.overrides
+                                      or self.type_f is not None):
+            raise InvalidSpec("GL kinds draw uniformly from GL_n; entries, overrides "
+                              "and F not allowed")
         for d in self._all_dists():
             if d.q != f.q:
                 raise InvalidSpec("entry distribution length != q (distribution sum)")
         rows, cols = self.shape
+        m0 = self.planted.rows if self.kind.startswith("planted") else 0
         if rows * cols > MAX_ENTRIES:
             raise TooLarge(f"a {rows}x{cols} matrix exceeds the cap of 2^22 entries")
         for i, j, _ in self.overrides:
@@ -202,6 +210,8 @@ class ModelSpec:
                 raise InvalidSpec("override index out of range")
             if i == j and "alternating" in self.kind:
                 raise InvalidSpec("alternating diagonal cannot be overridden")
+            if i < m0 and j < m0:
+                raise InvalidSpec("override inside the planted corner")
         if self.type_f is not None:
             if len(self.type_f.sets) > cols:
                 raise InvalidSpec("more F sets than columns")
@@ -209,6 +219,8 @@ class ModelSpec:
                 for idx, r in enumerate(rset):
                     if not (0 <= r < rows):
                         raise InvalidSpec("F index out of range")
+                    if r < m0 and col < m0:
+                        raise InvalidSpec("F entry inside the planted corner")
                     v = (self.type_f.values[col][idx] if self.type_f.values else 0)
                     if not (0 <= v < f.q):
                         raise InvalidSpec("fixed value out of range")
@@ -392,7 +404,7 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
     planted corner and fixed entries are applied to the whole stack."""
     f = spec.field
     kind, n = spec.kind, spec.n
-    if kind in ("uniform-gl", "gl-minus-identity", "gl-corner"):
+    if kind in GL_KINDS:
         k = spec.shape[0]
         m = np.stack([_gl_array(n, f, rng)[:k, :k] for rng in rngs])
         if kind == "gl-minus-identity":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import product
 
 from .errors import (CodimensionTooLarge, DimensionMismatch, InvalidArgument,
@@ -39,12 +40,19 @@ def f_abs(d: EntryDist, y: int) -> float:
     return abs(acc)
 
 
+@lru_cache(maxsize=256)
+def moduli(d: EntryDist) -> tuple[float, ...]:
+    """(f_abs(d, 0), ..., f_abs(d, q-1)), computed once per law for
+    threshold_set, rho and the Parseval sum."""
+    return tuple(f_abs(d, y) for y in range(d.q))
+
+
 def threshold_set(d: EntryDist, K: float) -> frozenset[int]:
     """T = {y : |f(y)| >= K * q^(-1/2)}."""
     if K <= 0:
         raise InvalidArgument("K must be positive")
     cut = K / d.q ** 0.5
-    return frozenset(y for y in range(d.q) if f_abs(d, y) >= cut)
+    return frozenset(y for y, v in enumerate(moduli(d)) if v >= cut)
 
 
 def diff_dist(d: EntryDist) -> EntryDist:
@@ -74,7 +82,7 @@ class StructureReport:
         """Claim-1 predicate: for every t != 0, at least M indices i not in F
         have t*a_i outside T_i."""
         if self.T_sets is None:
-            raise ValueError("report built without K; no threshold sets")
+            raise InvalidArgument("report built without K; no threshold sets")
         f = field_new(self.q)
         for t in range(1, self.q):
             good = sum(
@@ -93,15 +101,18 @@ def rho(a, dists: list[EntryDist], F=(), K: float | None = None) -> StructureRep
     if len(a) != len(dists):
         raise DimensionMismatch("vector length != number of distributions")
     q = dists[0].q
+    if any(not 0 <= ai < q for ai in a):
+        raise InvalidArgument(f"coordinates must lie in [0, {q})")
     f = field_new(q)
     Fset = frozenset(F)
+    mods = [moduli(d) for d in dists]
     prods = []
     for t in range(1, q):
         p = 1.0
         for i, ai in enumerate(a):
             if i in Fset:
                 continue
-            p *= f_abs(dists[i], f.mul(t, ai))
+            p *= mods[i][f.mul(t, ai)]
             if p == 0.0:
                 break
         prods.append(p)
@@ -115,79 +126,58 @@ def rho(a, dists: list[EntryDist], F=(), K: float | None = None) -> StructureRep
 # exact anti-concentration PMFs
 # ---------------------------------------------------------------------------
 
+def _joint_law(ws, dists: list[EntryDist], fixed: dict[int, int]
+               ) -> dict[tuple[int, ...], Fraction]:
+    """Exact joint law of (X.w_1, ..., X.w_d) for vectors w of one length,
+    by dynamic programming over the coordinates; coordinates in `fixed` are
+    point masses at their fixed values, the rest independent draws from
+    dists[i]."""
+    f = field_new(dists[0].q)
+    law = {(0,) * len(ws): Fraction(1)}
+    for i, coeffs in enumerate(zip(*ws)):
+        if not any(coeffs):
+            continue
+        support = ([(fixed[i], 1)] if i in fixed
+                   else [(x, c) for x, c in enumerate(dists[i].probs) if c])
+        new: dict[tuple[int, ...], Fraction] = {}
+        for x, cx in support:
+            inc = tuple(f.mul(c, x) for c in coeffs)
+            for state, p in law.items():
+                key = tuple(f.add(s, e) for s, e in zip(state, inc))
+                new[key] = new.get(key, Fraction(0)) + p * cx
+        law = new
+    return law
+
+
 def linear_form_pmf(a, dists: list[EntryDist], fixed: dict[int, int] | None = None
                     ) -> dict[int, Fraction]:
     """Exact distribution of X.a over F_q; coordinates in `fixed` contribute
     their fixed values, the rest are independent draws from dists[i]."""
-    a = tuple(a)
-    fixed = fixed or {}
-    q = dists[0].q
-    f = field_new(q)
-    dist = {0: Fraction(1)}
-    for i, ai in enumerate(a):
-        if i in fixed:
-            shift = f.mul(ai, fixed[i])
-            dist = {f.add(v, shift): p for v, p in dist.items()}
-            continue
-        if ai == 0:
-            continue
-        new: dict[int, Fraction] = {}
-        for x, cx in enumerate(dists[i].probs):
-            if not cx:
-                continue
-            inc = f.mul(ai, x)
-            for v, p in dist.items():
-                key = f.add(v, inc)
-                new[key] = new.get(key, Fraction(0)) + p * cx
-        dist = new
-    return {v: dist.get(v, Fraction(0)) for v in range(q)}
+    law = _joint_law([tuple(a)], dists, fixed or {})
+    return {v: law.get((v,), Fraction(0)) for v in range(dists[0].q)}
 
 
-def _perp_basis(H_basis: list, f: Field) -> list[tuple[int, ...]]:
-    rows = [list(h) for h in H_basis]
-    M = FqMatrix.from_rows(f, rows)
-    if M.rank() != len(rows):
-        raise ValueError("H basis is not linearly independent")
-    return M.nullspace()
+def _perp_basis(H_basis: list, n: int, f: Field) -> list[tuple[int, ...]]:
+    """A basis w_1, ..., w_d of the orthogonal complement of span(H_basis) in
+    F_q^n (the standard basis when H_basis is empty), guarded at d <= 3."""
+    if H_basis:
+        M = FqMatrix.from_rows(f, [list(h) for h in H_basis])
+        if M.rank() != len(H_basis):
+            raise InvalidArgument("H basis is not linearly independent")
+        perp = M.nullspace()
+    else:
+        perp = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    if len(perp) > 3:
+        raise CodimensionTooLarge(f"codimension {len(perp)} > 3")
+    return perp
 
 
 def subspace_prob(H_basis: list, dists: list[EntryDist],
                   fixed: dict[int, int] | None = None) -> Fraction:
     """Exact P(X in H) via the joint law of (X.w_1, ..., X.w_d) for a basis
     w of the orthogonal complement.  Guarded at codimension d <= 3."""
-    fixed = fixed or {}
-    n = len(dists)
-    q = dists[0].q
-    f = field_new(q)
-    if not H_basis:
-        perp = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    else:
-        perp = _perp_basis(H_basis, f)
-    d = len(perp)
-    if d > 3:
-        raise CodimensionTooLarge(f"codimension {d} > 3")
-    if d == 0:
-        return Fraction(1)
-    dist: dict[tuple[int, ...], Fraction] = {(0,) * d: Fraction(1)}
-    for i in range(n):
-        coeffs = tuple(w[i] for w in perp)
-        if all(c == 0 for c in coeffs):
-            continue
-        if i in fixed:
-            inc = tuple(f.mul(c, fixed[i]) for c in coeffs)
-            dist = {tuple(f.add(s, e) for s, e in zip(state, inc)): p
-                    for state, p in dist.items()}
-            continue
-        new: dict[tuple[int, ...], Fraction] = {}
-        for x, cx in enumerate(dists[i].probs):
-            if not cx:
-                continue
-            inc = tuple(f.mul(c, x) for c in coeffs)
-            for state, p in dist.items():
-                key = tuple(f.add(s, e) for s, e in zip(state, inc))
-                new[key] = new.get(key, Fraction(0)) + p * cx
-        dist = new
-    return dist.get((0,) * d, Fraction(0))
+    perp = _perp_basis(H_basis, len(dists), field_new(dists[0].q))
+    return _joint_law(perp, dists, fixed or {}).get((0,) * len(perp), Fraction(0))
 
 
 def check_unconc_implies_uniform(H_basis: list, dists: list[EntryDist],
@@ -195,24 +185,20 @@ def check_unconc_implies_uniform(H_basis: list, dists: list[EntryDist],
                                  ) -> tuple[Fraction, Fraction, bool]:
     """lhs = |P(X in H) - q^-d|; delta = max over nonzero w in the orthogonal
     complement of |P(X.w = 0) - 1/q|; pass iff lhs <= 2*delta + slack."""
-    fixed = fixed or {}
-    n = len(dists)
     q = dists[0].q
     f = field_new(q)
-    perp = _perp_basis(H_basis, f) if H_basis else \
-        [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    perp = _perp_basis(H_basis, len(dists), f)
     d = len(perp)
-    lhs = abs(subspace_prob(H_basis, dists, fixed) - Fraction(1, q**d))
+    law = _joint_law(perp, dists, fixed or {})
+    lhs = abs(law.get((0,) * d, Fraction(0)) - Fraction(1, q**d))
+    # w = sum_j c_j w_j has X.w = c.(X.w_j)_j, so its law is read off the
+    # joint law of the basis forms
     delta = Fraction(0)
-    for coeffs in product(range(q), repeat=d):
-        if all(c == 0 for c in coeffs):
-            continue
-        w = [0] * n
-        for c, basis_vec in zip(coeffs, perp):
-            for j in range(n):
-                w[j] = f.add(w[j], f.mul(c, basis_vec[j]))
-        pmf = linear_form_pmf(w, dists, fixed)
-        delta = max(delta, abs(pmf[0] - Fraction(1, q)))
+    for c in product(range(q), repeat=d):
+        if any(c):
+            p_zero = sum((p for y, p in law.items()
+                          if reduce(f.add, map(f.mul, c, y), 0) == 0), Fraction(0))
+            delta = max(delta, abs(p_zero - Fraction(1, q)))
     return lhs, delta, lhs <= 2 * delta + FRACTION_SLACK
 
 
@@ -265,34 +251,11 @@ def check_decoupling(A, b, dists: list[EntryDist], I) -> tuple[Fraction, Fractio
     |P(sum_{i in I, j not in I} A_ij y_i y_j = 0) - 1/q| with y = x - x'."""
     m = len(dists)
     q = dists[0].q
-    f = field_new(q)
     Iset = frozenset(I)
     pmf = quad_form_pmf(A, b, dists)
     lhs = max(abs(pmf[r] - Fraction(1, q)) for r in range(q))
-
-    ydists = [diff_dist(d) for d in dists]
-    if m > 8 or q**m > 10**6:
-        raise TooLargeToEnumerate("difference side exceeds the guard")
-    supports = [[(x, c) for x, c in enumerate(d.probs) if c] for d in ydists]
-    cross = [(i, j, A[i][j]) for i in range(m) for j in range(m)
-             if i in Iset and j not in Iset and A[i][j]]
-    p_zero = Fraction(0)
-
-    def rec(pos: int, weight: Fraction, y: list[int]) -> None:
-        nonlocal p_zero
-        if pos == m:
-            acc = 0
-            for i, j, aij in cross:
-                if y[i] and y[j]:
-                    acc = f.add(acc, f.mul(aij, f.mul(y[i], y[j])))
-            if acc == 0:
-                p_zero += weight
-            return
-        for v, c in supports[pos]:
-            y[pos] = v
-            rec(pos + 1, weight * c, y)
-        y[pos] = 0
-
-    rec(0, Fraction(1), [0] * m)
+    cross = [[A[i][j] if i in Iset and j not in Iset else 0 for j in range(m)]
+             for i in range(m)]
+    p_zero = quad_form_pmf(cross, [0] * m, [diff_dist(d) for d in dists])[0]
     rhs = abs(p_zero - Fraction(1, q))
     return lhs**4, rhs, lhs**4 <= rhs + FRACTION_SLACK

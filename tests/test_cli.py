@@ -15,6 +15,9 @@ def test_dist_finite(capsys):
     code, obj = run(capsys, "dist", "square", "--n", "2", "--q", "2")
     assert code == 0
     assert obj["support"] == [[0, "3/8"], [1, "9/16"], [2, "1/16"]]
+    assert obj["q"] == 2
+    assert obj["params"] == {"kind": "square", "n": 2, "m": 0, "parity": "even",
+                             "limit": False, "tol": 1e-30}
 
 
 def test_dist_limit_and_csv(tmp_path, capsys):
@@ -30,9 +33,12 @@ def test_dist_limit_and_csv(tmp_path, capsys):
 
 def test_dist_alternating_parity(capsys):
     code, obj = run(capsys, "dist", "alternating", "--q", "3", "--limit",
-                    "--parity", "odd")
+                    "--parity", "odd", "--tol", "1e-20")
     assert code == 0
     assert all(k % 2 == 1 for k, _ in obj["support"])
+    assert obj["q"] == 3
+    assert obj["params"] == {"kind": "alternating", "n": None, "m": 0, "parity": "odd",
+                             "limit": True, "tol": 1e-20}
 
 
 def test_sample_subcommand(tmp_path, capsys):
@@ -52,6 +58,8 @@ def test_mc_subcommand_with_reference(tmp_path, capsys):
     assert code == 0
     assert obj["trials"] == 2000
     assert obj["report"]["passed"]
+    assert obj["empirical"]["q"] == 2
+    assert obj["empirical"]["params"] == {"trials": 2000, "seed": 1}
 
 
 def test_chain_evolve_and_flags(capsys):
@@ -59,6 +67,9 @@ def test_chain_evolve_and_flags(capsys):
                     "--steps", "2")
     assert code == 0
     assert obj["support"] == [[0, "1/2"], [1, "3/8"], [2, "1/8"]]
+    assert obj["q"] == 2
+    assert obj["params"] == {"kind": "symmetric", "n": None, "x0": 0, "steps": 2,
+                             "planted": False}
 
     code, obj = run(capsys, "chain", "symmetric", "--q", "3", "--x0", "2",
                     "--steps", "6", "--hit-zero")
@@ -74,6 +85,9 @@ def test_chain_evolve_and_flags(capsys):
                     "--steps", "4", "--planted")
     assert code == 0
     assert obj["kind"] == "exact"
+    assert obj["q"] == 3
+    assert obj["params"] == {"kind": "symmetric", "n": None, "x0": 2, "steps": 4,
+                             "planted": True}
 
 
 def test_structure_subcommand(tmp_path, capsys):
@@ -117,6 +131,27 @@ def test_error_exit_code(tmp_path, capsys):
     (None, ["sample", "SPEC", "--seed", "1"], "InvalidArgument"),  # no such file
     ({"kind": "iid-square", "q": 2, "n": 10**12}, ["sample", "SPEC", "--seed", "1"],
      "TooLarge"),
+    # spec parts that sampling would ignore or contradict
+    ({"kind": "uniform-gl", "q": 3, "n": 2, "entries": {"default": ["1/2", "1/2", "0"]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "gl-minus-identity", "q": 3, "n": 2,
+      "entries": {"overrides": [[0, 1, ["0", "1", "0"]]]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "gl-corner", "q": 3, "n": 3, "n_prime": 2, "F": [[1]]},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "planted-symmetric", "q": 3, "n": 3, "planted": "3 2 2 1 2 2 1",
+      "entries": {"default": ["1/2", "1/2", "0"]}}, ["sample", "SPEC", "--seed", "1"],
+     "InvalidSpec"),
+    ({"kind": "planted-symmetric", "q": 3, "n": 3, "planted": "3 2 2 1 2 2 1", "F": [[1]]},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "planted-symmetric", "q": 3, "n": 3, "planted": "3 2 2 1 2 2 1",
+      "entries": {"overrides": [[0, 1, ["0", "1", "0"]]]}},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1"], "InvalidSpec"),
+    # coordinates outside [0, q)
+    ({"kind": "iid-square", "q": 4, "n": 2}, ["structure", "SPEC", "--vector", "1,7"],
+     "InvalidArgument"),
+    ({"kind": "iid-square", "q": 4, "n": 2}, ["structure", "SPEC", "--vector=-1,1"],
+     "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

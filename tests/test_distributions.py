@@ -129,26 +129,27 @@ def _long_masses(kind: str, q: int, m: int, ks) -> list[Decimal]:
 
 
 def test_limit_tail_bound_covers_truncation():
-    # the truncated masses overestimate the true ones; the tail bound must
-    # cover both the omitted mass and that overestimate
-    for q in (2, 3, 101):
+    # the truncated q-products overestimate the true masses; the kept masses
+    # must stay below them, and the tail bound must cover both the omitted
+    # mass and the distance of each kept mass from its true value
+    for q in (2, 3, 101, 65521):
         f = field_new(q)
-        for tol in (Fraction(1, 10**12), TOL):
+        for tol in (Fraction(1, 10**12), TOL, Fraction(1, 10**30)):
             laws = [("rect", 0, limit_square_pmf(f, tol)), ("rect", 2, limit_rect_pmf(2, f, tol)),
                     ("symmetric", 0, limit_sym_pmf(f, tol))]
             if q % 2:
                 laws += [("alternating", 0, limit_alt_pmf(f, parity, tol))
                          for parity in ("even", "odd")]
             for kind, m, pmf in laws:
+                # with every kept mass below its true value, the omitted mass
+                # plus those distances is exactly 1 - total
+                assert pmf.tail_bound == 1 - pmf.total(), (q, tol, kind, m)
                 with localcontext() as ctx:
                     ctx.prec = 400
                     ks = [k for k, _ in pmf.support]
                     kept = [Decimal(c.numerator) / c.denominator for _, c in pmf.support]
                     long = _long_masses(kind, q, m, ks)
-                    need = (1 - sum(long)) + sum(abs(a - b) for a, b in zip(kept, long))
-                    assert need > 1 - sum(kept)  # the overestimate is real
-                    bound = Decimal(pmf.tail_bound.numerator) / pmf.tail_bound.denominator
-                    assert bound >= need, (q, tol, kind, m)
+                    assert all(a < b for a, b in zip(kept, long)), (q, tol, kind, m)
 
 
 def test_kind_lookup():

@@ -86,6 +86,24 @@ def test_cli_sample_fuzz(tmp_path, capsys, contents):
     capsys.readouterr()
 
 
+@FUZZ
+@given(q=st.sampled_from([2, 3, 4, 9]),
+       vector=st.lists(st.integers(-12, 12) | st.integers(), min_size=1, max_size=5).map(
+           lambda xs: ",".join(map(str, xs))) | st.text(max_size=12),
+       K=st.none() | st.floats(allow_nan=False, allow_infinity=False, width=32),
+       M=st.none() | st.integers(-2, 6))
+@example(q=4, vector="1,7", K=None, M=None)
+@example(q=4, vector="-1,1", K=1.0, M=1)
+def test_cli_structure_vector_fuzz(tmp_path, capsys, q, vector, K, M):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "iid-square", "q": q, "n": 2}))
+    argv = ["structure", str(path), f"--vector={vector}"]
+    argv += [] if K is None else [f"--K={K}"]
+    argv += [] if M is None else [f"--M={M}"]
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(q=st.sampled_from([2, 4, 9, 101]), shape=st.tuples(
     st.integers(1, 4), st.integers(0, 6), st.integers(0, 6)),

@@ -65,6 +65,44 @@ def test_mc_corank_concentrates():
     assert abs(res.counts.get(1, 0) / 20000 - 9 / 16) < 4 * sigma
 
 
+def test_mc_corank_matches_brute_force_on_constrained_specs():
+    # the sampler against the independent enumerator where they apply
+    # overrides, fixed entries, mirroring and planted corners separately;
+    # a fixed tolerance of twice the harness noise floor (99% half-widths)
+    def point(f, v):
+        return EntryDist(tuple(Fraction(int(x == v)) for x in range(f.q)))
+
+    F4 = field_new(4)
+    specs = [
+        # nonzero fixed values on mirrored kinds
+        ModelSpec(kind="symmetric", field=F2, n=3,
+                  type_f=TypeFSpec(((1,), (), (1,)), ((1,), (), (1,)))),
+        ModelSpec(kind="symmetric", field=F3, n=3, entries=near_uniform_dist(F3, {0}),
+                  type_f=TypeFSpec(((1,), (), (0,)), ((2,), (), (1,)))),
+        # overrides of a mirrored cell, given below the diagonal, the later wins
+        ModelSpec(kind="symmetric", field=F4, n=3,
+                  overrides=((2, 0, point(F4, 0)), (0, 1, point(F4, 1)), (1, 0, point(F4, 0))),
+                  type_f=TypeFSpec(((), (), (1,)), ((), (), (3,)))),
+        # alternating with fixed entries and an override (n = 4: at n = 3
+        # these constraints leave corank 1 certain)
+        ModelSpec(kind="alternating", field=F3, n=4,
+                  overrides=((2, 1, point(F3, 1)),),
+                  type_f=TypeFSpec(((1,), (), ()), ((2,), (), ()))),
+        # planted corners with fixed entries and overrides outside the corner
+        ModelSpec(kind="planted-symmetric", field=F3, n=3,
+                  planted=FqMatrix.from_rows(F3, [[1, 2], [2, 1]]),
+                  overrides=((2, 2, near_uniform_dist(F3, {0})),),
+                  type_f=TypeFSpec(((2,), (), ()), ((1,), (), ()))),
+        ModelSpec(kind="planted-alternating", field=F3, n=4,
+                  planted=FqMatrix.from_rows(F3, [[0, 1], [2, 0]]),
+                  overrides=((1, 2, point(F3, 1)),), type_f=TypeFSpec(((2,), (), ()), ((1,), (), ()))),
+    ]
+    for i, spec in enumerate(specs):
+        res = mc_corank(spec, 4000, seed=40 + i)
+        tv, _ = tv_distance(res.empirical, brute_force_pmf(spec))
+        assert float(tv) <= 2 * res.noise_floor(), (spec.kind, float(tv), res.noise_floor())
+
+
 def test_mc_corank_parallel_matches_serial():
     # blocks of trials give the counts of one trial at a time, also when
     # the run ends in a partial block

@@ -84,6 +84,25 @@ def test_model_spec_validation():
     with pytest.raises(InvalidSpec):  # a fixed alternating diagonal must be 0
         ModelSpec(kind="alternating", field=F3, n=3, type_f=TypeFSpec(((0,),), ((1,),)))
     ModelSpec(kind="iid-rect", field=F3, n=2, m=1, overrides=((1, 2, d),))
+    # what sampling would ignore: entry laws and fixed entries on GL kinds,
+    # entry laws on planted kinds
+    tf = TypeFSpec(((1,),))
+    for kind, extra in (("uniform-gl", {}), ("gl-minus-identity", {}),
+                        ("gl-corner", {"n_prime": 2})):
+        for bad in ({"entries": d}, {"overrides": ((0, 1, d),)}, {"type_f": tf}):
+            with pytest.raises(InvalidSpec):
+                ModelSpec(kind=kind, field=F3, n=3, **extra, **bad)
+    corner = FqMatrix.from_rows(F3, [[1, 2], [2, 1]])
+    with pytest.raises(InvalidSpec):
+        ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner, entries=d)
+    # what it would contradict: overrides and fixed entries inside the corner,
+    # in either triangle
+    for bad in ({"overrides": ((1, 0, d),)}, {"overrides": ((0, 0, d),)},
+                {"type_f": TypeFSpec(((1,),))}, {"type_f": TypeFSpec(((), (0,)))}):
+        with pytest.raises(InvalidSpec):
+            ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner, **bad)
+    ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner,
+              overrides=((2, 0, d),), type_f=TypeFSpec(((2,), (2,))))
 
 
 def test_planted_validation():
@@ -193,6 +212,8 @@ def test_corank_of_sample_matches_sample():
         # fixed values, and a fixed cell listed together with its mirror
         over = ((0, 3, nonzero), (3, 0, one), (1, 2, one))
         tf = TypeFSpec(((1, 2), (0,), (), (2,)), ((1, q - 1), (2,), (), (0,)))
+        # the same kinds of fixed cells outside the 2x2 planted corner
+        planted_tf = TypeFSpec(((2, 3), (), (3,), (2,)), ((1, q - 1), (), (2,), (0,)))
         specs = [ModelSpec(kind="iid-square", field=f, n=4),
                  ModelSpec(kind="iid-rect", field=f, n=3, m=2),
                  ModelSpec(kind="symmetric", field=f, n=4),
@@ -207,15 +228,16 @@ def test_corank_of_sample_matches_sample():
                  ModelSpec(kind="symmetric", field=f, n=4, entries=nonzero,
                            overrides=over + ((2, 2, one),), type_f=tf),
                  ModelSpec(kind="planted-symmetric", field=f, n=4, planted=sym,
-                           overrides=over, type_f=tf)]
+                           overrides=over, type_f=planted_tf)]
         if q % 2:
             alt_tf = TypeFSpec(((1, 3), (), (0,)), ((1, q - 1), (), (2,)))
+            planted_alt_tf = TypeFSpec(((2, 3), (), (0,)), ((1, q - 1), (), (2,)))
             specs += [ModelSpec(kind="alternating", field=f, n=4),
                       ModelSpec(kind="planted-alternating", field=f, n=4, planted=alt),
                       ModelSpec(kind="alternating", field=f, n=4, entries=nonzero,
                                 overrides=over, type_f=alt_tf),
                       ModelSpec(kind="planted-alternating", field=f, n=4, planted=alt,
-                                overrides=over, type_f=alt_tf)]
+                                overrides=over, type_f=planted_alt_tf)]
         for spec in specs:
             for t in range(4):
                 assert corank_of_sample(spec, 21, t) == sample(spec, 21, t).corank()

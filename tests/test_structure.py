@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from fqrank.errors import CodimensionTooLarge
+from fqrank.errors import CodimensionTooLarge, InvalidArgument
 from fqrank.field import field_new
+from fqrank.matrix import FqMatrix
 from fqrank.models import EntryDist, near_uniform_dist, uniform_entry_dist
 from fqrank.structure import (check_decoupling, check_unconc_implies_uniform,
-                              diff_dist, f_abs, linear_form_pmf, quad_form_pmf,
-                              rho, subspace_prob, threshold_set)
+                              diff_dist, f_abs, linear_form_pmf, moduli,
+                              quad_form_pmf, rho, subspace_prob, threshold_set)
 
 F3 = field_new(3)
 HALF = EntryDist((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
@@ -25,6 +27,20 @@ def test_f_abs_half_mass_example():
     # |1/2 + 1/2 e^{2 pi i/3}| = 1/2
     assert abs(f_abs(HALF, 1) - 0.5) < 1e-12
     assert abs(f_abs(HALF, 0) - 1) < 1e-12
+
+
+def _random_dist(rnd, q):
+    while True:
+        w = [rnd.choice([0, 0, 1, 2, 3]) for _ in range(q)]
+        if sum(w):
+            return EntryDist(tuple(Fraction(x, sum(w)) for x in w))
+
+
+def test_moduli_match_f_abs():
+    rnd = random.Random(5)
+    for q in (2, 3, 4, 5, 7, 9):
+        for d in (uniform_entry_dist(field_new(q)), _random_dist(rnd, q)):
+            assert moduli(d) == tuple(f_abs(d, y) for y in range(q))
 
 
 def test_threshold_set_contains_zero_and_bounded():
@@ -68,6 +84,15 @@ def test_rho_threshold_report():
     rep = rho((1, 1), [HALF, HALF], K=1.0)
     assert rep.T_sets is not None
     assert rep.meets_unstructured_condition(0)
+    with pytest.raises(InvalidArgument):
+        rho((1, 1), [HALF, HALF]).meets_unstructured_condition(0)
+
+
+def test_rho_coordinates_in_range():
+    dists = [uniform_entry_dist(field_new(4))] * 2
+    for a in ((1, 7), (-1, 1), (4, 0)):
+        with pytest.raises(InvalidArgument):
+            rho(a, dists)
 
 
 def test_linear_form_pmf_against_enumeration():
@@ -114,6 +139,37 @@ def test_unconc_implies_uniform_holds():
     lhs, delta, ok = check_unconc_implies_uniform(H, dists)
     assert ok
     assert lhs <= 2 * delta + Fraction(1, 10**12)
+    with pytest.raises(InvalidArgument):
+        check_unconc_implies_uniform([(1, 1, 0), (2, 2, 0)], dists)
+
+
+def test_unconc_delta_against_each_linear_form():
+    # delta is the largest |P(X.w = 0) - 1/q| over the nonzero w of the
+    # orthogonal complement, each w built here and its law computed alone
+    rnd = random.Random(11)
+    for _ in range(60):
+        q = rnd.choice([2, 3, 4, 5])
+        f = field_new(q)
+        n = rnd.randrange(1, 5)
+        d = rnd.randrange(0, min(n, 3) + 1)
+        dists = [_random_dist(rnd, q) for _ in range(n)]
+        fixed = {rnd.randrange(n): rnd.randrange(q)} if rnd.random() < 0.5 else {}
+        while True:
+            H = [[rnd.randrange(q) for _ in range(n)] for _ in range(n - d)]
+            if not H or FqMatrix.from_rows(f, H).rank() == n - d:
+                break
+        perp = FqMatrix.from_rows(f, H).nullspace() if H else \
+            [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        delta = Fraction(0)
+        for c in product(range(q), repeat=d):
+            if any(c):
+                w = [0] * n
+                for cj, v in zip(c, perp):
+                    w = [f.add(wi, f.mul(cj, vi)) for wi, vi in zip(w, v)]
+                delta = max(delta, abs(linear_form_pmf(w, dists, fixed)[0] - Fraction(1, q)))
+        lhs, got, _ = check_unconc_implies_uniform(H, dists, fixed)
+        assert got == delta
+        assert lhs == abs(subspace_prob(H, dists, fixed) - Fraction(1, q**d))
 
 
 def test_quad_form_pmf_against_enumeration():
@@ -139,3 +195,30 @@ def test_decoupling_holds():
     lhs4, rhs, ok = check_decoupling(A, b, dists, I=[0])
     assert ok
     assert lhs4 <= rhs + Fraction(1, 10**12)
+
+
+def test_decoupling_rhs_against_enumeration():
+    # the right side by direct enumeration of y = x - x' over F_q^m
+    rnd = random.Random(12)
+    for _ in range(40):
+        q = rnd.choice([2, 3, 4])
+        f = field_new(q)
+        m = rnd.randrange(2, 5)
+        dists = [_random_dist(rnd, q) for _ in range(m)]
+        A = [[rnd.randrange(q) for _ in range(m)] for _ in range(m)]
+        b = [rnd.randrange(q) for _ in range(m)]
+        I = set(rnd.sample(range(m), rnd.randrange(1, m)))
+        ydists = [diff_dist(d) for d in dists]
+        p_zero = Fraction(0)
+        for y in product(range(q), repeat=m):
+            weight = Fraction(1)
+            for v, d in zip(y, ydists):
+                weight *= d.probs[v]
+            acc = 0
+            for i in I:
+                for j in set(range(m)) - I:
+                    acc = f.add(acc, f.mul(A[i][j], f.mul(y[i], y[j])))
+            if acc == 0:
+                p_zero += weight
+        _, rhs, _ = check_decoupling(A, b, dists, I)
+        assert rhs == abs(p_zero - Fraction(1, q))
