@@ -95,7 +95,8 @@ def test_mc_corank_matches_brute_force_on_constrained_specs():
                   type_f=TypeFSpec(((2,), (), ()), ((1,), (), ()))),
         ModelSpec(kind="planted-alternating", field=F3, n=4,
                   planted=FqMatrix.from_rows(F3, [[0, 1], [2, 0]]),
-                  overrides=((1, 2, point(F3, 1)),), type_f=TypeFSpec(((2,), (), ()), ((1,), (), ()))),
+                  overrides=((1, 2, point(F3, 1)),),
+                  type_f=TypeFSpec(((2,), (), ()), ((1,), (), ()))),
     ]
     for i, spec in enumerate(specs):
         res = mc_corank(spec, 4000, seed=40 + i)
