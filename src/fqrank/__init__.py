@@ -7,10 +7,9 @@ measures, exact corank Markov chains, and a Monte Carlo verification
 harness with a CLI front end.
 """
 
-from .errors import (CapExceeded, CodimensionTooLarge, DimensionMismatch,
-                     EmptySupport, EvenCharacteristic, FqRankError,
-                     InvalidArgument, InvalidSpec, NotPrimePower, TooLarge,
-                     TooLargeToEnumerate)
+from .errors import (CodimensionTooLarge, DimensionMismatch, EmptySupport,
+                     EvenCharacteristic, FqRankError, InvalidArgument,
+                     InvalidSpec, NotPrimePower, TooLarge, TooLargeToEnumerate)
 from .field import Field, field_new
 from .matrix import FqMatrix, dumps_matrix, in_span, loads_matrix
 from .distributions import (CorankPMF, limit_alt_pmf, limit_rect_pmf,
@@ -35,7 +34,7 @@ from .harness import (MCResult, VerificationReport, brute_force_pmf,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceeded", "ChainSpec", "CodimensionTooLarge", "CorankPMF",
+    "ChainSpec", "CodimensionTooLarge", "CorankPMF",
     "DimensionMismatch", "EmptySupport", "EntryDist", "EvenCharacteristic",
     "Field", "FqMatrix", "FqRankError", "InvalidArgument", "InvalidSpec",
     "MCResult",

@@ -27,7 +27,7 @@ from .distributions import LAW_KINDS, CorankPMF, limit_pmf, uniform_pmf
 from .errors import FqRankError, InvalidArgument
 from .field import field_new
 from .matrix import dumps_matrix
-from .models import ModelSpec, sample, validate_conditions
+from .models import GL_KINDS, ModelSpec, sample, validate_conditions
 from . import chain as chain_mod
 from . import harness
 
@@ -127,10 +127,8 @@ def cmd_chain(args) -> int:
         _emit({"path": list(path), "probability": str(prob),
                "probability_float": float(prob)})
     else:
-        if args.planted:
-            pmf = chain_mod.planted_pmf(args.kind, args.x0, args.steps, f)
-        else:
-            pmf = chain_mod.evolve(spec, chain_mod.delta_pmf(args.x0), args.steps)
+        # --planted reads x0 as a fixed corner's corank; the law is the same
+        pmf = chain_mod.evolve(spec, chain_mod.delta_pmf(args.x0), args.steps)
         if args.csv:
             _write_csv(args.csv, pmf)
         params = {"kind": args.kind, "n": n, "x0": args.x0, "steps": args.steps,
@@ -147,8 +145,22 @@ def cmd_structure(args) -> int:
         a = tuple(int(x) for x in args.vector.split(","))
     except ValueError:
         raise InvalidArgument("--vector must be comma-separated integers") from None
-    dists = [spec.default_dist()] * len(a)
-    F = spec.type_f.sets[0] if spec.type_f is not None else ()
+    if spec.kind in GL_KINDS or spec.kind.startswith("planted"):
+        raise InvalidArgument(f"{spec.kind} entries have no per-entry laws")
+    # column 0's entry laws and fixed rows as sample_stack draws them: mirrored kinds
+    # copy cell (0, i) to (i, 0), negated if alternating, which keeps every |f|
+    mirrored = spec.kind not in ("iid-square", "iid-rect")
+    drawn = {(min(i, j), max(i, j)) if mirrored else (i, j): d
+             for i, j, d in spec.overrides}
+    dists = [drawn.get((0, i) if mirrored else (i, 0), spec.default_dist())
+             for i in range(spec.shape[0])]
+    F = {0} if "alternating" in spec.kind else set()  # the zero diagonal
+    if spec.type_f is not None:
+        rows, cols, _ = spec._fixed_writes
+        F |= {int(r) for r, c in zip(rows, cols) if c == 0}
+    if len(a) != len(dists):
+        raise InvalidArgument(f"--vector has {len(a)} coordinates; the spec's "
+                              f"columns have {len(dists)}")
     report = rho(a, dists, F=F, K=args.K)
     out = {
         "rho": report.rho,

@@ -39,7 +39,3 @@ class CodimensionTooLarge(FqRankError):
 
 class TooLargeToEnumerate(FqRankError):
     """Requested exhaustive enumeration exceeds the size guard."""
-
-
-class CapExceeded(FqRankError):
-    """Chain state would escape the configured corank cap."""

@@ -203,8 +203,7 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
     mirror = kind in ("symmetric", "alternating", "planted-symmetric", "planted-alternating")
     alt = "alternating" in kind
     over = {(min(i, j), max(i, j)) if mirror else (i, j): d for i, j, d in spec.overrides}
-    default = uniform_entry_dist(f) if kind.startswith("planted") else spec.default_dist()
-    dists = [over.get(pos, default) for pos in positions]
+    dists = [over.get(pos, spec.default_dist()) for pos in positions]
     supports = [[(v, c) for v, c in enumerate(d.probs) if c] for d in dists]
     rows, cols = spec.shape
     grid = list(base.entries)

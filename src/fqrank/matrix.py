@@ -1,7 +1,8 @@
 """Dense matrices over F_q with exact rank / RREF / nullspace services.
 
 Matrices are immutable: entries live in a flat row-major tuple of element
-representatives.  Elimination uses first-nonzero pivoting; over an exact
+representatives.  rank, rref, the nullspaces and in_span all run one
+forward elimination, _eliminate, with first-nonzero pivoting; over an exact
 field there is nothing to stabilize.
 """
 
@@ -55,9 +56,6 @@ class FqMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return self.entries[j::self.cols]
-
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -93,45 +91,12 @@ class FqMatrix:
 
     def rref(self) -> tuple["FqMatrix", list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
-        f = self.field
-        m = [list(self.row(i)) for i in range(self.rows)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    coef = m[i][c]
-                    m[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return FqMatrix.from_rows(f, m) if m else self, pivots
+        m = self.to_lists()
+        pivots = _eliminate(m, self.field, reduce=True)
+        return FqMatrix.from_rows(self.field, m) if m else self, pivots
 
     def rank(self) -> int:
-        f = self.field
-        m = [list(self.row(i)) for i in range(self.rows)]
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = f.inv(m[r][c])
-            for i in range(r + 1, self.rows):
-                if m[i][c] != 0:
-                    coef = f.mul(m[i][c], inv)
-                    m[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(m[i], m[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        return len(_eliminate(self.to_lists(), self.field))
 
     def corank(self) -> int:
         """rows - rank; the corank Q(M) for square matrices."""
@@ -169,15 +134,43 @@ class FqMatrix:
         return tuple(out)
 
 
+def _eliminate(m: list[list[int]], f: Field, reduce: bool = False) -> list[int]:
+    """Forward elimination of the row lists m in place, by first-nonzero
+    pivoting; returns the pivot columns.  It stops once every row holds a
+    pivot.  With reduce, each pivot row is also scaled to a leading 1 and
+    cleared above, which leaves m in reduced row echelon form."""
+    rows = len(m)
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        for piv in range(r, rows):
+            if m[piv][c] != 0:
+                break
+        else:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = f.inv(m[r][c])
+        if reduce:
+            m[r] = [f.mul(inv, x) for x in m[r]]
+            inv = 1
+        for i in range(0 if reduce else r + 1, rows):
+            if i != r and m[i][c] != 0:
+                # row_i + (-a) row_r: f.add and f.mul per entry (f.sub is two calls)
+                coef = f.neg(f.mul(m[i][c], inv))
+                m[i] = [f.add(x, f.mul(coef, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
 def in_span(W: FqMatrix, x: tuple[int, ...] | list[int]) -> bool:
-    """True iff x lies in the column span of W."""
+    """True iff x lies in the column span of W: one elimination of [W | x],
+    in which x's column gets no pivot."""
     if len(x) != W.rows:
         raise DimensionMismatch(f"vector length {len(x)} != {W.rows} rows")
-    aug = FqMatrix(
-        W.field, W.rows, W.cols + 1,
-        tuple(v for i in range(W.rows) for v in (*W.row(i), x[i])),
-    )
-    return aug.rank() == W.rank()
+    aug = FqMatrix.from_rows(W.field, [[*W.row(i), x[i]] for i in range(W.rows)])
+    return W.cols not in _eliminate(aug.to_lists(), W.field)
 
 
 # -- fixture text format ------------------------------------------------------

@@ -413,7 +413,7 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
 
     mirrored = kind not in ("iid-square", "iid-rect")
     alt = "alternating" in kind
-    dist = uniform_entry_dist(f) if kind.startswith("planted") else spec.default_dist()
+    dist = spec.default_dist()
     # mirrored kinds draw a full square and keep its upper triangle
     shape = (n, n) if mirrored else spec.shape
     u, over = [], []

@@ -160,13 +160,11 @@ def linear_form_pmf(a, dists: list[EntryDist], fixed: dict[int, int] | None = No
 def _perp_basis(H_basis: list, n: int, f: Field) -> list[tuple[int, ...]]:
     """A basis w_1, ..., w_d of the orthogonal complement of span(H_basis) in
     F_q^n (the standard basis when H_basis is empty), guarded at d <= 3."""
-    if H_basis:
-        M = FqMatrix.from_rows(f, [list(h) for h in H_basis])
-        if M.rank() != len(H_basis):
-            raise InvalidArgument("H basis is not linearly independent")
-        perp = M.nullspace()
-    else:
-        perp = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    if any(len(h) != n for h in H_basis):
+        raise DimensionMismatch(f"H basis vectors must have length {n}")
+    perp = FqMatrix(f, len(H_basis), n, tuple(x for h in H_basis for x in h)).nullspace()
+    if len(perp) != n - len(H_basis):
+        raise InvalidArgument("H basis is not linearly independent")
     if len(perp) > 3:
         raise CodimensionTooLarge(f"codimension {len(perp)} > 3")
     return perp

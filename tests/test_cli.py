@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,44 @@ def test_chain_evolve_and_flags(capsys):
                              "planted": True}
 
 
+def test_chain_planted_iid_column(capsys):
+    argv = ["chain", "iid-column", "--q", "2", "--n", "3", "--steps", "2"]
+    code, evolved = run(capsys, *argv)
+    assert code == 0
+    code, planted = run(capsys, *argv, "--planted")
+    assert code == 0
+    assert planted["support"] == evolved["support"]
+    assert planted["params"] == {"kind": "iid-column", "n": 3, "x0": 0, "steps": 2,
+                                 "planted": True}
+
+
+def test_structure_reads_column0_laws(tmp_path, capsys):
+    from fqrank.models import EntryDist
+    from fqrank.structure import rho
+
+    half = EntryDist((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    point = EntryDist((Fraction(0), Fraction(1), Fraction(0)))
+    spec = tmp_path / "spec.json"
+    # iid-square: only the override of (1, 0) is in column 0.  symmetric:
+    # (0, 2) is mirrored to (2, 0), and F's (0, 1) to the fixed row 1.
+    for obj, laws, F in (
+        ({"kind": "iid-square", "q": 3, "n": 3,
+          "entries": {"default": ["1/2", "1/2", "0"],
+                      "overrides": [[1, 0, ["0", "1", "0"]], [0, 1, ["1", "0", "0"]]]}},
+         [half, point, half], ()),
+        ({"kind": "symmetric", "q": 3, "n": 3, "F": [[], [0]],
+          "entries": {"default": ["1/2", "1/2", "0"],
+                      "overrides": [[0, 2, ["0", "1", "0"]]]}},
+         [half, half, point], (1,)),
+    ):
+        spec.write_text(json.dumps(obj))
+        code, out = run(capsys, "structure", str(spec), "--vector", "1,2,1")
+        assert code == 0
+        assert out["rho"] == rho((1, 2, 1), laws, F=F).rho
+        assert out["F"] == list(F)
+        assert out["rho"] != rho((1, 2, 1), [half] * 3).rho
+
+
 def test_structure_subcommand(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -152,6 +191,14 @@ def test_error_exit_code(tmp_path, capsys):
      "InvalidArgument"),
     ({"kind": "iid-square", "q": 4, "n": 2}, ["structure", "SPEC", "--vector=-1,1"],
      "InvalidArgument"),
+    # a vector that is not a column of the spec, and kinds without per-entry laws
+    ({"kind": "iid-square", "q": 3, "n": 3,
+      "entries": {"overrides": [[1, 0, ["0", "1", "0"]]]}},
+     ["structure", "SPEC", "--vector", "1,1,1,1,1"], "InvalidArgument"),
+    ({"kind": "uniform-gl", "q": 3, "n": 2}, ["structure", "SPEC", "--vector", "1,1"],
+     "InvalidArgument"),
+    ({"kind": "planted-symmetric", "q": 3, "n": 3, "planted": "3 1 1 1"},
+     ["structure", "SPEC", "--vector", "1,1,1"], "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

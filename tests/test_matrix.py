@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqrank._fast import rank_mod_p, rank_stack
 from fqrank.errors import DimensionMismatch
@@ -141,3 +142,40 @@ def test_matvec():
     assert M.matvec((1, 1)) == (0, 1)
     with pytest.raises(DimensionMismatch):
         M.matvec((1, 1, 1))
+
+
+@st.composite
+def matrices(draw):
+    """A matrix over F_q with 0-6 rows and columns, zero-heavy half the time."""
+    f = field_new(draw(st.sampled_from((2, 3, 4, 9, 101))))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(0, f.q - 1)
+    if draw(st.booleans()):
+        entry = st.just(0) | st.just(0) | entry
+    return FqMatrix(f, rows, cols, tuple(draw(st.lists(
+        entry, min_size=rows * cols, max_size=rows * cols))))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(matrices(), st.data())
+def test_oracle_self_consistency(M, data):
+    """rank, rref, both nullspaces and in_span agree with one another, and
+    in_span with the independent stack kernel."""
+    q = M.field.q
+    red, pivots = M.rref()
+    kernel, left = M.nullspace(), M.left_nullspace()
+    assert M.rank() == len(pivots) == M.cols - len(kernel) == M.rows - len(left)
+    assert all(M.matvec(v) == (0,) * M.rows for v in kernel)
+    assert all(M.transpose().matvec(w) == (0,) * M.cols for w in left)
+    assert red.rref() == (red, pivots)
+
+    # x in the span by construction half the time
+    if data.draw(st.booleans()):
+        x = M.matvec(tuple(data.draw(st.lists(st.integers(0, q - 1),
+                                              min_size=M.cols, max_size=M.cols))))
+    else:
+        x = tuple(data.draw(st.lists(st.integers(0, q - 1),
+                                     min_size=M.rows, max_size=M.rows)))
+    W = np.array(M.entries, dtype=np.int64).reshape(1, M.rows, M.cols)
+    aug = np.concatenate([W, np.array(x, dtype=np.int64).reshape(1, M.rows, 1)], axis=2)
+    assert in_span(M, x) == (rank_stack(aug, q)[0] == rank_stack(W, q)[0])

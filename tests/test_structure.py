@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from fqrank.errors import CodimensionTooLarge, InvalidArgument
+from fqrank.errors import CodimensionTooLarge, DimensionMismatch, InvalidArgument
 from fqrank.field import field_new
 from fqrank.matrix import FqMatrix
 from fqrank.models import EntryDist, near_uniform_dist, uniform_entry_dist
@@ -141,6 +141,8 @@ def test_unconc_implies_uniform_holds():
     assert lhs <= 2 * delta + Fraction(1, 10**12)
     with pytest.raises(InvalidArgument):
         check_unconc_implies_uniform([(1, 1, 0), (2, 2, 0)], dists)
+    with pytest.raises(DimensionMismatch):  # a basis of F_3^2, not of F_3^3
+        check_unconc_implies_uniform([(1, 1)], dists)
 
 
 def test_unconc_delta_against_each_linear_form():
