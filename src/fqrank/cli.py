@@ -9,7 +9,8 @@ Subcommands:
 * ``chain``     exact corank-chain computations
 * ``structure`` structure measure of a vector under a model's entry laws
 
-All output is JSON on stdout; ``--csv`` additionally writes a PMF table
+All output is JSON on stdout (``verify --jsonl``: one line per check as it
+finishes, then a summary line); ``--csv`` additionally writes a PMF table
 with columns corank, mass_num, mass_den.  The exit code is 0 iff every
 verification requested in the invocation passed.
 """
@@ -181,15 +182,24 @@ def cmd_structure(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = [r for g in harness.CHECKS.values() if g.suite in names for r in g.run()]
+    reports = []
+    for g in harness.CHECKS.values():
+        if g.suite in names:
+            for r in g.run():
+                reports.append(r)
+                if args.jsonl:
+                    print(json.dumps(r.to_dict(), default=str), flush=True)
     ok = all(r.passed for r in reports)
-    _emit({
+    summary = {
         "suites": names,
         "passed": ok,
         "n_checks": len(reports),
         "n_failed": sum(not r.passed for r in reports),
-        "reports": [r.to_dict() for r in reports],
-    })
+    }
+    if args.jsonl:
+        print(json.dumps(summary))
+    else:
+        _emit({**summary, "reports": [r.to_dict() for r in reports]})
     return 0 if ok else 1
 
 
@@ -234,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    v.add_argument("--jsonl", action="store_true",
+                   help="one JSON line per check as it finishes, then a summary line")
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("chain", help="exact corank-chain computations")

@@ -5,9 +5,11 @@ worker pool can split the trial range arbitrarily: accumulation is a
 commutative integer-count merge and the result is identical to the serial
 run.  FQRANK_THREADS caps the worker count (default: serial).  Each worker
 walks its range in blocks of consecutive trials, sampled into one stack and
-ranked by one call of the stack kernel; a block holds about 2^18
-matrix entries, so memory stays bounded for any matrix size, and the counts
-do not depend on where the blocks fall.
+ranked by one call of the stack kernel.  A block holds about 2^18 entries
+of the largest stack it ranks (on GL kinds, the k whole candidates per
+trial of a rejection round), so memory stays bounded for any matrix size,
+and the counts do not depend on where the blocks fall.  The GL checks of
+criterion 4 and of `fqrank verify gl` draw through the same blocks.
 
 CHECKS is the one registry of verification checks: an ordered table of
 named check groups, one per acceptance criterion plus the GL subspace
@@ -37,14 +39,16 @@ from .chain import (ChainSpec, delta_pmf, enumerate_positive_paths, evolve,
 from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
 from .errors import InvalidSpec, NotPrimePower, TooLargeToEnumerate
 from .field import Field, _factor_prime_power, field_new
-from .matrix import FqMatrix
-from .models import (EntryDist, ModelSpec, TypeFSpec, band_type_f, derive_rng,
-                     near_uniform_dist, sample_gl, sample_stack,
+from .matrix import FqMatrix, rank_rows
+from .models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
+                     candidates_per_call, derive_rng, full_rank_stack,
+                     near_uniform_dist, ranked_entries, sample_stack,
                      uniform_entry_dist)
 from .structure import (SLACK, check_decoupling, check_unconc_implies_uniform,
                         moduli, threshold_set)
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+UCB_DELTA = 1e-3  # failure probability of tv_report's upper confidence bound
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,23 @@ def _jsonable(v):
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _block_size(rows: int, cols: int) -> int:
-    """Trials per block for matrices of the given shape."""
-    return max(1, _BLOCK_ENTRIES // (rows * cols))
+def _block_size(entries: int) -> int:
+    """Trials per block when a trial puts `entries` entries on a stack."""
+    return max(1, _BLOCK_ENTRIES // entries)
+
+
+def _blocks(spec: ModelSpec, seed: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """sample_stack of trials start..stop-1, a block of trials at a time."""
+    block = _block_size(ranked_entries(spec))
+    for a in range(start, stop, block):
+        yield sample_stack(spec, [derive_rng(seed, t) for t in range(a, min(a + block, stop))])
 
 
 def _count_chunk(spec: ModelSpec, seed: int, start: int, stop: int) -> Counter:
-    rows, cols = spec.shape
-    block = _block_size(rows, cols)
+    rows = spec.shape[0]
     c: Counter = Counter()
-    for a in range(start, stop, block):
-        rngs = [derive_rng(seed, t) for t in range(a, min(a + block, stop))]
-        c.update((rows - rank_stack(sample_stack(spec, rngs), spec.field.q)).tolist())
+    for stack in _blocks(spec, seed, start, stop):
+        c.update((rows - rank_stack(stack, spec.field.q)).tolist())
     return c
 
 
@@ -135,7 +144,7 @@ def mc_corank(spec: ModelSpec, trials: int, seed: int,
         raise InvalidSpec("trials must be >= 1")
     threads = worker_count() if threads is None else max(1, threads)
     # a worker gets at least one block, so a one-block run stays serial
-    threads = min(threads, math.ceil(trials / _block_size(*spec.shape)))
+    threads = min(threads, math.ceil(trials / _block_size(ranked_entries(spec))))
     if threads == 1:
         counts = _count_chunk(spec, seed, 0, trials)
     else:
@@ -215,7 +224,7 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
             grid[i * cols + j] = v
             if mirror and i != j:
                 grid[j * cols + i] = f.neg(v) if alt else v
-        corank = rows - FqMatrix(f, rows, cols, tuple(grid)).rank()
+        corank = rows - rank_rows([grid[i * cols:(i + 1) * cols] for i in range(rows)], f)
         masses[corank] = masses.get(corank, Fraction(0)) + weight
     return _pmf(masses)
 
@@ -272,16 +281,12 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
     t0 = time.perf_counter()
     q = f.q
     hits = 0
-    block = _block_size(n, n - d + 1)
+    k = candidates_per_call(n, n - d, q)
+    block = _block_size(n * max(k * (n - d), n - d + 1))
     for a in range(0, trials, block):
         rngs = [derive_rng(seed, t) for t in range(a, min(a + block, trials))]
-        # each trial redraws its basis from its own stream until it has full
-        # rank, then draws x: the calls of one trial at a time
-        basis = np.zeros((len(rngs), n, n - d), dtype=np.int64)
-        todo = np.arange(len(rngs))
-        while todo.size:
-            basis[todo] = [rngs[i].integers(0, q, size=(n, n - d)) for i in todo]
-            todo = todo[rank_stack(basis[todo], q) < n - d]
+        # each trial takes its first full-rank basis, then draws x from its stream
+        basis = full_rank_stack(rngs, n, n - d, q)
         x = np.stack([dist.draw_array(rng, n) for rng in rngs])
         x[:, :k_bad] = 0
         aug = np.concatenate([basis, x[:, :, None]], axis=2)
@@ -321,7 +326,8 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
         for assignment in product(range(q), repeat=len(pairs)):
             for (i, j), v in zip(pairs, assignment):
                 grid[i * size + j] = grid[j * size + i] = v
-            count += FqMatrix(f, size, size, tuple(grid)).rank() == size
+            count += rank_rows([grid[i * size:(i + 1) * size] for i in range(size)],
+                               f) == size
         return count
 
     # route one: PMF of the symmetric model with a fixed zero diagonal,
@@ -352,9 +358,9 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
     the first l coordinates stay independent, against 1 - 2/q^(l-k)."""
     t0 = time.perf_counter()
     q = f.q
-    hits = 0
-    for t in range(trials):
-        hits += sample_gl(n, f, seed, t).submatrix(l, k).rank() == k
+    spec = ModelSpec(kind="uniform-gl", field=f, n=n)
+    hits = sum(int((rank_stack(g[:, :l, :k], q) == k).sum())
+               for g in _blocks(spec, seed, 0, trials))
     emp = hits / trials
     bound = 1 - 2 / q ** (l - k)
     slack = 3 * math.sqrt(max(emp * (1 - emp), 1e-12) / trials) + 2 / trials
@@ -372,15 +378,25 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
 def tv_report(result: MCResult, reference: CorankPMF,
               threshold: float | None = None, claim_id: str = "tv") -> VerificationReport:
     """TV(empirical, reference) with the sampling noise floor; the pass
-    criterion (threshold) is supplied by the caller."""
+    criterion (threshold) is supplied by the caller.
+
+    tv_ucb is an upper confidence bound, at level 1 - UCB_DELTA, on the TV
+    between the sampler's true law and the reference.  The empirical TV moves
+    by at most 1/N when one of the N trials changes, so by McDiarmid's
+    inequality it falls below its mean by more than sqrt(ln(1/delta)/(2N))
+    with probability at most delta; its mean is at least the true TV, since
+    TV is convex and the empirical law is unbiased.  tv_err covers the
+    reference's truncation.  It is reported only."""
     tv, err = tv_distance(result.empirical, reference)
     floor = result.noise_floor()
     passed = True if threshold is None else float(tv) <= threshold
+    dev = math.sqrt(math.log(1 / UCB_DELTA) / (2 * result.trials))
+    ucb = (float(tv + err) + dev) * (1 + 2**-40)  # rounds up past the float error
     return VerificationReport(
         claim_id=claim_id,
-        computed={"tv": tv, "tv_err": err, "noise_floor": floor,
+        computed={"tv": tv, "tv_err": err, "tv_ucb": ucb, "noise_floor": floor,
                   "trials": result.trials},
-        bounds={"threshold": threshold},
+        bounds={"threshold": threshold, "ucb_delta": UCB_DELTA},
         passed=passed,
         notes="property-level check; tolerance dominated by sampling noise"
               if threshold is not None else "",
@@ -407,29 +423,38 @@ def mc_limit_check(spec: ModelSpec, trials: int, seed: int,
 
 
 def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> VerificationReport:
-    """Chi-square goodness of fit of sample_gl against the uniform law on the
-    enumerated elements of GL_n(F_q) (small n only); the enumeration must
-    find all prod_{i<n} (q^n - q^i) of them."""
+    """Chi-square goodness of fit of the uniform-gl sampler, as Monte Carlo
+    draws it in blocks, against the uniform law on the enumerated elements
+    of GL_n(F_q) (small n only); the enumeration must find all
+    prod_{i<n} (q^n - q^i) of them."""
     from scipy.stats import chi2
 
     t0 = time.perf_counter()
-    cells = [e for e in product(range(f.q), repeat=n * n)
-             if FqMatrix(f, n, n, e).rank() == n]
-    index = {m: i for i, m in enumerate(cells)}
-    counts = np.zeros(len(cells), dtype=np.int64)
-    for t in range(trials):
-        A = sample_gl(n, f, seed, t)
-        counts[index[A.entries]] += 1
-    expected = trials / len(cells)
+    q = f.q
+    # 1 + the cell of each matrix, keyed by its entries read as a base-q
+    # number; 0 for a singular matrix
+    cell = np.zeros(q ** (n * n), dtype=np.int64)
+    cells = 0
+    for code, e in enumerate(product(range(q), repeat=n * n)):
+        if rank_rows([list(e[i * n:(i + 1) * n]) for i in range(n)], f) == n:
+            cells += 1
+            cell[code] = cells
+    place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    spec = ModelSpec(kind="uniform-gl", field=f, n=n)
+    counts = np.zeros(cells + 1, dtype=np.int64)
+    for g in _blocks(spec, seed, 0, trials):
+        counts += np.bincount(cell[g.reshape(len(g), -1) @ place], minlength=cells + 1)
+    singular, counts = int(counts[0]), counts[1:]
+    expected = trials / cells
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    pvalue = float(chi2.sf(stat, len(cells) - 1))
-    order = math.prod(f.q**n - f.q**i for i in range(n))
+    pvalue = float(chi2.sf(stat, cells - 1))
+    order = math.prod(q**n - q**i for i in range(n))
     return VerificationReport(
-        claim_id=f"gl-uniformity-n{n}-q{f.q}",
-        computed={"chi_square": stat, "p_value": pvalue, "cells": len(cells),
-                  "trials": trials},
+        claim_id=f"gl-uniformity-n{n}-q{q}",
+        computed={"chi_square": stat, "p_value": pvalue, "cells": cells,
+                  "singular": singular, "trials": trials},
         bounds={"p_value_min": 1e-3, "cells": order},
-        passed=pvalue > 1e-3 and len(cells) == order,
+        passed=pvalue > 1e-3 and cells == order and singular == 0,
         runtime=time.perf_counter() - t0,
     )
 

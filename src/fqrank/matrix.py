@@ -3,7 +3,9 @@
 Matrices are immutable: entries live in a flat row-major tuple of element
 representatives.  rank, rref, the nullspaces and in_span all run one
 forward elimination, _eliminate, with first-nonzero pivoting; over an exact
-field there is nothing to stabilize.
+field there is nothing to stabilize.  rank_rows ranks plain row lists
+without building (and range-checking) an FqMatrix, for the enumeration
+oracles.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class FqMatrix:
         return FqMatrix.from_rows(self.field, m) if m else self, pivots
 
     def rank(self) -> int:
-        return len(_eliminate(self.to_lists(), self.field))
+        return rank_rows(self.to_lists(), self.field)
 
     def corank(self) -> int:
         """rows - rank; the corank Q(M) for square matrices."""
@@ -162,6 +164,13 @@ def _eliminate(m: list[list[int]], f: Field, reduce: bool = False) -> list[int]:
                 m[i] = [f.add(x, f.mul(coef, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return pivots
+
+
+def rank_rows(m: list[list[int]], f: Field) -> int:
+    """Rank of the row lists m, whose entries must already lie in [0, q): the
+    entry point for enumerations that build many matrices from known values
+    and would pay FqMatrix's range check on each.  m is eliminated in place."""
+    return len(_eliminate(m, f))
 
 
 def in_span(W: FqMatrix, x: tuple[int, ...] | list[int]) -> bool:

@@ -8,6 +8,11 @@ and still reproduce bit-for-bit.
 Entry sampling is exact: an EntryDist holds rational point masses over a
 common denominator D, and a single uniform integer in [0, D) selects the
 value by cumulative comparison.  No floating-point thresholds anywhere.
+
+The GL kinds take each trial's first invertible whole-matrix candidate from
+its own stream (full_rank_stack): a stack of trials is ranked by one
+rank_stack call per rejection round.  A lone sample_gl call instead draws
+column by column against a SpanTracker, which is cheaper for one matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from ._fast import SpanTracker, rank_mod_p
+from ._fast import SpanTracker, rank_mod_p, rank_stack
 from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec, TooLarge
 from .field import Field, field_new
 from .matrix import FqMatrix, dumps_matrix, loads_matrix
@@ -377,7 +382,13 @@ def sample(spec: ModelSpec, seed: int, trial: int = 0) -> FqMatrix:
 
 
 def sample_gl(n: int, f: Field, seed: int, trial: int = 0) -> FqMatrix:
-    """A uniformly distributed element of GL_n(F_q), by per-column rejection."""
+    """A uniformly distributed element of GL_n(F_q), by per-column rejection
+    against the span of the columns kept so far.
+
+    sample_gl(n, f, s, t) and sample(uniform-gl spec, s, t) are both uniform
+    on GL_n(F_q) but are different draws: the spec path keeps the first
+    invertible whole-matrix candidate of the stream (full_rank_stack), which
+    ranks well in blocks, while a lone draw is cheaper column by column."""
     return _as_matrix(f, _gl_array(n, f, derive_rng(seed, trial)))
 
 
@@ -395,6 +406,56 @@ def _gl_array(n: int, f: Field, rng: np.random.Generator) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+@lru_cache(maxsize=None)
+def candidates_per_call(rows: int, cols: int, q: int) -> int:
+    """k: the least number of uniform rows x cols candidates (rows >= cols)
+    that holds one of full column rank with probability at least 1/2.
+
+    A candidate has full column rank with probability
+    p = prod_{i<cols} (1 - q^(i-rows)), so k is the least k with
+    (1 - p)^k <= 1/2.  p is evaluated in floating point: the thresholds
+    1 - 2^(-1/k) are irrational for k >= 2, and the one exact tie, p = 1/2 at
+    k = 1 (q = 2, rows = cols = 1), is computed exactly."""
+    p = math.prod(1 - float(q) ** (i - rows) for i in range(cols))
+    k = 1
+    while (1 - p) ** k > 0.5:
+        k += 1
+    return k
+
+
+def full_rank_stack(rngs: list[np.random.Generator], rows: int, cols: int,
+                    q: int) -> np.ndarray:
+    """For each generator, the first rows x cols candidate of full column
+    rank in its stream, stacked into a (len(rngs), rows, cols) array.
+
+    Each round, every pending stream draws k = candidates_per_call(rows,
+    cols, q) candidates with one integers() call, one rank_stack call ranks
+    all pending candidates, and each stream keeps its first full-rank one.
+    A draw depends only on its stream and on k, so how the streams are
+    grouped into stacks never changes it.  A full-rank candidate is uniform
+    on the full-rank matrices: every rejected candidate is thrown away whole."""
+    k = candidates_per_call(rows, cols, q)
+    out = np.empty((len(rngs), rows, cols), dtype=np.int64)
+    todo = np.arange(len(rngs))
+    while todo.size:
+        cand = np.stack([rngs[i].integers(0, q, size=(k, rows, cols)) for i in todo])
+        ok = (rank_stack(cand.reshape(todo.size * k, rows, cols), q) == cols).reshape(-1, k)
+        hit = ok.any(axis=1)
+        out[todo[hit]] = cand[hit, ok[hit].argmax(axis=1)]
+        todo = todo[~hit]
+    return out
+
+
+def ranked_entries(spec: ModelSpec) -> int:
+    """Entries per draw of the largest stack that sampling and ranking a draw
+    of spec builds: the k whole n x n candidates of a GL round, otherwise
+    the matrix itself."""
+    if spec.kind in GL_KINDS:
+        return candidates_per_call(spec.n, spec.n, spec.field.q) * spec.n ** 2
+    rows, cols = spec.shape
+    return rows * cols
+
+
 def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray:
     """One draw from the model per generator, stacked into a (len(rngs),
     rows, cols) integer array with entries in [0, q).
@@ -405,11 +466,11 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
     f = spec.field
     kind, n = spec.kind, spec.n
     if kind in GL_KINDS:
-        k = spec.shape[0]
-        m = np.stack([_gl_array(n, f, rng)[:k, :k] for rng in rngs])
+        m = full_rank_stack(rngs, n, n, f.q)
         if kind == "gl-minus-identity":
             return f.vec.sub(m, np.eye(n, dtype=np.int64))
-        return m
+        k = spec.shape[0]
+        return m[:, :k, :k]
 
     mirrored = kind not in ("iid-square", "iid-rect")
     alt = "alternating" in kind

@@ -148,6 +148,27 @@ def test_verify_counting_suite(capsys):
     assert obj["passed"] and obj["n_failed"] == 0
 
 
+def test_verify_jsonl_streams_each_report(monkeypatch, capsys):
+    from fqrank import harness
+
+    seen = []
+
+    def group():
+        yield harness.VerificationReport("first", {}, {}, True, runtime=0.5)
+        seen.append(capsys.readouterr().out)  # printed before the next check runs
+        yield harness.VerificationReport("second", {}, {}, False, runtime=0.25)
+
+    monkeypatch.setattr(harness, "CHECKS", {"g": harness.CheckGroup("counting", group)})
+    code = main(["verify", "counting", "--jsonl"])
+    first = json.loads(seen[0])
+    assert (first["claim_id"], first["passed"], first["runtime"]) == ("first", True, 0.5)
+    second, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (second["claim_id"], second["runtime"]) == ("second", 0.25)
+    assert summary == {"suites": ["counting"], "passed": False, "n_checks": 2,
+                       "n_failed": 1}
+    assert code == 1
+
+
 def test_error_exit_code(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "iid-square", "q": 6, "n": 2}))

@@ -16,8 +16,10 @@ from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
                             submatrix_fullrank_check, threshold_parseval_check,
                             tv_report, unconc_uniform_suite, zero_diag_count_check)
 from fqrank.matrix import FqMatrix
+from fqrank import models
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, corank_of_sample,
-                           derive_rng, near_uniform_dist, uniform_entry_dist)
+                           derive_rng, near_uniform_dist, ranked_entries,
+                           uniform_entry_dist)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -118,6 +120,30 @@ def test_mc_corank_parallel_matches_serial():
                 assert mc_corank(spec, trials, seed=5, threads=threads).counts == expected
 
 
+def test_mc_corank_gl_counts_do_not_depend_on_blocks(monkeypatch):
+    # GL blocks are sized by the k n x n candidates a trial ranks (k = 3 at
+    # q = 2, n = 40); counts match one trial at a time for any worker count
+    # and block size
+    specs = (ModelSpec(kind="gl-corner", field=F2, n=40, n_prime=20),
+             ModelSpec(kind="gl-minus-identity", field=field_new(7), n=40))
+    assert [ranked_entries(s) for s in specs] == [3 * 1600, 1600]
+    expected = {}
+    for spec in specs:
+        trials = 2 * harness._block_size(ranked_entries(spec)) + 5
+        expected[spec] = [corank_of_sample(spec, 6, t) for t in range(trials)]
+        for threads in (1, 3):
+            assert mc_corank(spec, trials, seed=6, threads=threads).counts == \
+                Counter(expected[spec])
+    ranked = []
+    rank_stack = models.rank_stack
+    monkeypatch.setattr(models, "rank_stack",
+                        lambda m, q: ranked.append(m.size) or rank_stack(m, q))
+    monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 5000)  # one trial a block
+    for spec in specs:
+        assert mc_corank(spec, 30, seed=6).counts == Counter(expected[spec][:30])
+    assert max(ranked) <= 4800
+
+
 def test_mc_corank_one_block_stays_serial(monkeypatch):
     class PoolStarted(Exception):
         pass
@@ -188,6 +214,13 @@ def test_odlyzko_trivial_and_uniform():
     assert rep.passed
 
 
+def test_odlyzko_gate_point():
+    # the point `fqrank verify gl` runs; its bases take k = 1 candidate a call,
+    # so the draws are those of one candidate per round
+    rep = odlyzko_check(6, 3, 0, uniform_entry_dist(F5), 4000, 15, F5)
+    assert rep.computed["empirical"] == Fraction(37, 4000)
+
+
 def _rank(f, a) -> int:
     return FqMatrix(f, a.shape[0], a.shape[1], tuple(a.ravel().tolist())).rank()
 
@@ -237,6 +270,15 @@ def test_tv_report_same_law():
     res = mc_corank(spec, 50000, seed=9)
     rep = tv_report(res, uniform_square_pmf(2, F2), threshold=None)
     assert float(rep.computed["tv"]) <= 3 * rep.computed["noise_floor"]
+
+
+def test_tv_report_upper_confidence_bound():
+    res = MCResult.from_counts({0: 700, 1: 300}, 1000, 0)
+    rep = tv_report(res, uniform_square_pmf(1, F2))  # P(corank 0) = 1/2
+    delta = rep.bounds["ucb_delta"]
+    assert delta == 1e-3 and rep.computed["tv"] == Fraction(1, 5)
+    dev = (np.log(1 / delta) / 2000) ** 0.5
+    assert 0.2 + dev < rep.computed["tv_ucb"] < 0.2 + dev + 1e-9
 
 
 def test_gl_uniformity_small():

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from fqrank.errors import EmptySupport, InvalidSpec
 from fqrank.field import field_new
 from fqrank.matrix import FqMatrix
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
-                           corank_of_sample, derive_rng, near_uniform_dist,
-                           sample, sample_array, sample_gl, sample_stack,
-                           uniform_entry_dist, validate_conditions)
+                           candidates_per_call, corank_of_sample, derive_rng,
+                           near_uniform_dist, sample, sample_array, sample_gl,
+                           sample_stack, uniform_entry_dist, validate_conditions)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -185,6 +186,55 @@ def test_sample_gl_invertible():
         f = field_new(q)
         for t in range(4):
             assert sample_gl(n, f, 13, t).rank() == n
+
+
+def test_sample_gl_lone_draws_uniform_on_gl2_f3():
+    # chi-square of lone sample_gl draws against the 48 elements of GL_2(F_3)
+    from scipy.stats import chi2
+
+    cells = Counter(sample_gl(2, F3, 31, t).entries for t in range(4800))
+    gl = [e for e in product(range(3), repeat=4) if FqMatrix(F3, 2, 2, e).rank() == 2]
+    assert len(gl) == 48 and set(cells) <= set(gl)
+    stat = sum((cells[e] - 100) ** 2 / 100 for e in gl)
+    assert chi2.sf(stat, 47) > 1e-3
+
+
+def test_candidates_per_call():
+    # the least k with P(some of k candidates has full column rank) >= 1/2
+    assert candidates_per_call(40, 40, 2) == 3
+    assert candidates_per_call(40, 40, 3) == candidates_per_call(40, 40, 7) == 1
+    assert candidates_per_call(6, 3, 5) == 1  # the odlyzko_check bases
+    assert candidates_per_call(2, 2, 2) == 2  # p = 3/8
+    assert candidates_per_call(1, 1, 2) == 1  # p = 1/2 exactly
+    assert candidates_per_call(4, 0, 2) == 1
+
+
+def _first_full_rank(rng, n: int, f) -> np.ndarray:
+    """The GL draw of sample_stack replayed one candidate at a time and
+    ranked by the FqMatrix oracle."""
+    k = candidates_per_call(n, n, f.q)
+    while True:
+        for c in rng.integers(0, f.q, size=(k, n, n)):
+            if FqMatrix(f, n, n, tuple(c.ravel().tolist())).rank() == n:
+                return c
+
+
+def test_gl_stack_is_first_full_rank_candidate_per_stream():
+    for q, n in ((2, 1), (2, 2), (2, 5), (3, 2), (4, 3), (5, 6)):
+        f = field_new(q)
+        specs = (ModelSpec(kind="uniform-gl", field=f, n=n),
+                 ModelSpec(kind="gl-minus-identity", field=f, n=n),
+                 ModelSpec(kind="gl-corner", field=f, n=n, n_prime=max(1, n // 2)))
+        g = np.stack([_first_full_rank(derive_rng(8, t), n, f) for t in range(12)])
+        for spec in specs:
+            k = spec.shape[0]
+            expected = {"uniform-gl": g, "gl-corner": g[:, :k, :k],
+                        "gl-minus-identity": f.vec.sub(g, np.eye(n, dtype=np.int64))
+                        }[spec.kind]
+            stack = sample_stack(spec, [derive_rng(8, t) for t in range(12)])
+            singles = [sample_array(spec, derive_rng(8, t)) for t in range(12)]
+            assert np.array_equal(stack, expected), (q, n, spec.kind)
+            assert np.array_equal(stack, np.stack(singles)), (q, n, spec.kind)
 
 
 def test_gl_minus_identity_1x1_f2():
