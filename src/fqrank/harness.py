@@ -213,20 +213,22 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
     alt = "alternating" in kind
     over = {(min(i, j), max(i, j)) if mirror else (i, j): d for i, j, d in spec.overrides}
     dists = [over.get(pos, spec.default_dist()) for pos in positions]
-    supports = [[(v, c) for v, c in enumerate(d.probs) if c] for d in dists]
+    # integer weights over each law's own denominator, divided out once at the end
+    supports = [[(v, w) for v, w in enumerate(d.numerators) if w] for d in dists]
+    scale = math.prod(d.denominator for d in dists)
     rows, cols = spec.shape
     grid = list(base.entries)
-    masses: dict[int, Fraction] = {}
+    masses: dict[int, int] = {}
     for assignment in product(*supports):
-        weight = Fraction(1)
-        for (i, j), (v, c) in zip(positions, assignment):
-            weight *= c
+        weight = 1
+        for (i, j), (v, w) in zip(positions, assignment):
+            weight *= w
             grid[i * cols + j] = v
             if mirror and i != j:
                 grid[j * cols + i] = f.neg(v) if alt else v
         corank = rows - rank_rows([grid[i * cols:(i + 1) * cols] for i in range(rows)], f)
-        masses[corank] = masses.get(corank, Fraction(0)) + weight
-    return _pmf(masses)
+        masses[corank] = masses.get(corank, 0) + weight
+    return _pmf({k: Fraction(w, scale) for k, w in masses.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,7 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
         rngs = [derive_rng(seed, t) for t in range(a, min(a + block, trials))]
         # each trial takes its first full-rank basis, then draws x from its stream
         basis = full_rank_stack(rngs, n, n - d, q)
-        x = np.stack([dist.draw_array(rng, n) for rng in rngs])
+        x = dist.lookup(np.stack([rng.integers(0, dist.denominator, size=n) for rng in rngs]))
         x[:, :k_bad] = 0
         aug = np.concatenate([basis, x[:, :, None]], axis=2)
         hits += int((rank_stack(aug, q) == n - d).sum())

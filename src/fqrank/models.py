@@ -6,8 +6,11 @@ Philox generator, so trials can be generated in any order or in parallel
 and still reproduce bit-for-bit.
 
 Entry sampling is exact: an EntryDist holds rational point masses over a
-common denominator D, and a single uniform integer in [0, D) selects the
-value by cumulative comparison.  No floating-point thresholds anywhere.
+common denominator D, and a single uniform integer u in [0, D) selects the
+value v whose cumulative interval holds u.  A guide table (indexed search)
+maps the high bits of u, at most 2^16 buckets, to the first value each
+bucket can select, so for D <= 2^16 a draw is one table gather; larger D
+add a few vectorised correction rounds.  No floating-point thresholds.
 
 The GL kinds take each trial's first invertible whole-matrix candidate from
 its own stream (full_rank_stack): a stack of trials is ranked by one
@@ -21,12 +24,13 @@ import hashlib
 import json
 import math
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._fast import SpanTracker, rank_mod_p, rank_stack
 from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec, TooLarge
@@ -40,12 +44,27 @@ KINDS = (
 )
 GL_KINDS = ("uniform-gl", "gl-minus-identity", "gl-corner")
 MAX_ENTRIES = 1 << 22  # per matrix: a draw is a 32 MB int64 array at the cap
+MAX_DENOMINATOR = (1 << 63) - 1  # uniform integers and cumulative sums are int64
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a ready key.  Philox(key=...) would first build a
+    SeedSequence from OS entropy and then discard it, about half the cost of
+    derive_rng; Philox(seed) takes its key from generate_state(2, uint64)
+    and starts its counter at 0, so the stream is the same."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 def derive_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, trial)."""
     h = hashlib.sha256(b"fqrank" + struct.pack("<qq", seed, trial)).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(h[:16], "little")))
+    key = np.array(struct.unpack("<QQ", h[:16]), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,28 +97,49 @@ class EntryDist:
         return reduce(math.lcm, (c.denominator for c in self.probs), 1)
 
     @cached_property
-    def _cum(self) -> tuple[int, ...]:
+    def numerators(self) -> tuple[int, ...]:
+        """The probabilities as integers over the common denominator."""
         D = self.denominator
-        acc, out = 0, []
-        for c in self.probs:
-            acc += c.numerator * (D // c.denominator)
-            out.append(acc)
-        return tuple(out)
+        return tuple(c.numerator * (D // c.denominator) for c in self.probs)
 
     @cached_property
-    def _cum_array(self) -> np.ndarray:
-        return np.asarray(self._cum)
+    def _guide(self) -> tuple[np.ndarray, int, np.ndarray, tuple[int, ...]]:
+        """Guide table for lookup (Chen & Asau 1974; Devroye, Non-Uniform
+        Random Variate Generation, III.2.4), built on the first lookup.
+
+        Bucket b holds u in [b << shift, (b + 1) << shift), with shift chosen
+        so there are at most 2^16 buckets; table[b] is the value its first u
+        selects.  A bucket holding w cumulative boundaries spans w + 1
+        values, which the correction rounds search by binary lifting: one
+        round per binary digit of the widest bucket's w, none when D <= 2^16."""
+        D = self.denominator
+        shift = max(0, (D - 1).bit_length() - 16)
+        cum = np.array(list(accumulate(self.numerators)), dtype=np.int64)
+        starts = np.arange(0, D, 1 << shift, dtype=np.int64)
+        table = np.searchsorted(cum, starts, side="right")
+        # the value the last u of each bucket selects: boundaries below the next start
+        last = np.searchsorted(cum, np.append(starts[1:], D), side="left")
+        width = int((last - table).max())
+        steps = tuple(1 << i for i in reversed(range(width.bit_length())))
+        # lifting may probe up to steps[0] - 1 places past the last value
+        cum = np.append(cum, np.full(steps[0] if steps else 0, D, dtype=np.int64))
+        return table, shift, cum, steps
 
     def draw_array(self, rng: np.random.Generator, size) -> np.ndarray:
         return self.lookup(rng.integers(0, self.denominator, size=size))
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
-        """The values that uniform integers u in [0, denominator) select."""
-        return np.searchsorted(self._cum_array, u, side="right").astype(np.int64)
+        """The values that uniform integers u in [0, denominator) select:
+        for each u, the least v with numerators[0] + ... + numerators[v] > u.
+        One guide-table gather, then the table's correction rounds."""
+        table, shift, cum, steps = self._guide
+        v = np.take(table, u >> shift if shift else u)
+        for h in steps:
+            v += h * (cum[v + (h - 1)] <= u)
+        return v
 
     def draw_one(self, rng: np.random.Generator) -> int:
-        u = int(rng.integers(0, self.denominator))
-        return bisect_right(self._cum, u)
+        return int(self.lookup(rng.integers(0, self.denominator)))
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +246,8 @@ class ModelSpec:
         for d in self._all_dists():
             if d.q != f.q:
                 raise InvalidSpec("entry distribution length != q (distribution sum)")
+            if d.denominator > MAX_DENOMINATOR:
+                raise TooLarge("an entry law's common denominator exceeds 2^63 - 1")
         rows, cols = self.shape
         m0 = self.planted.rows if self.kind.startswith("planted") else 0
         if rows * cols > MAX_ENTRIES:
@@ -461,7 +503,7 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
     rows, cols) integer array with entries in [0, q).
 
     Draw i consumes rngs[i] alone, exactly as a stack of one would: the
-    entry draw, then one draw per override.  The value lookup, mirroring,
+    entry draw, then one draw per override.  The value lookups, mirroring,
     planted corner and fixed entries are applied to the whole stack."""
     f = spec.field
     kind, n = spec.kind, spec.n
@@ -480,13 +522,13 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
     u, over = [], []
     for rng in rngs:
         u.append(rng.integers(0, dist.denominator, size=shape))
-        over.append([d.draw_one(rng) for _, _, d in spec.overrides])
+        over.append([rng.integers(0, d.denominator) for _, _, d in spec.overrides])
     m = dist.lookup(np.stack(u))
     over = np.array(over, dtype=np.int64).reshape(len(rngs), -1)
-    for k, (i, j, _) in enumerate(spec.overrides):
+    for k, (i, j, d) in enumerate(spec.overrides):
         if mirrored:
             i, j = min(i, j), max(i, j)
-        m[:, i, j] = over[:, k]
+        m[:, i, j] = d.lookup(over[:, k])
     if mirrored:
         upper = m
         m = np.zeros_like(upper)

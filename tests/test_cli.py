@@ -178,6 +178,10 @@ def test_error_exit_code(tmp_path, capsys):
     assert "NotPrimePower" in captured.err
 
 
+_BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default": [
+    "1/999999999989", "1/999999999961", "999999999948000000000479/999999999950000000000429"]}}
+
+
 @pytest.mark.parametrize("spec, argv, error", [
     ({"kind": "iid-square", "n": 2}, ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
     ({"kind": "planted-symmetric", "q": 3, "n": 3, "planted": "3 2"},
@@ -220,6 +224,13 @@ def test_error_exit_code(tmp_path, capsys):
      "InvalidArgument"),
     ({"kind": "planted-symmetric", "q": 3, "n": 3, "planted": "3 1 1 1"},
      ["structure", "SPEC", "--vector", "1,1,1"], "InvalidArgument"),
+    # entry laws whose common denominator exceeds the int64 draws, from
+    # strings and from floats given to limit_denominator(10**12)
+    (_BIG_DENOMINATOR, ["sample", "SPEC", "--seed", "1"], "TooLarge"),
+    (_BIG_DENOMINATOR, ["mc", "SPEC", "--trials", "10", "--seed", "1"], "TooLarge"),
+    ({"kind": "iid-square", "q": 3, "n": 3, "entries": {"default": [
+        1 / 999999999989, 1 / 999999999961, _BIG_DENOMINATOR["entries"]["default"][2]]}},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1"], "TooLarge"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

@@ -79,6 +79,10 @@ def test_loads_matrix_fuzz(text):
        | (json_values | spec_like).map(lambda o: json.dumps(o).encode()))
 @example(contents=b"\x80")
 @example(contents=b'{"kind": "iid-square", "q": 2, "n": 4294967296}')
+@example(contents=json.dumps(  # an entry law whose common denominator exceeds 2^63 - 1
+    {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default": [
+        "1/999999999989", "1/999999999961",
+        "999999999948000000000479/999999999950000000000429"]}}).encode())
 def test_cli_sample_fuzz(tmp_path, capsys, contents):
     path = tmp_path / "spec.json"
     path.write_bytes(contents)

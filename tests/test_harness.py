@@ -53,6 +53,17 @@ def test_brute_force_type_f():
         0: Fraction(3, 4), 1: Fraction(1, 4)}
 
 
+def test_brute_force_overrides_and_type_f_pinned():
+    # PMF captured while weights were still multiplied as Fractions
+    law = EntryDist((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    spec = ModelSpec(kind="iid-square", field=F3, n=3, entries=law,
+                     overrides=((0, 1, EntryDist((Fraction(0), Fraction(2, 5), Fraction(3, 5)))),
+                                (2, 2, EntryDist((Fraction(1, 7), Fraction(0), Fraction(6, 7))))),
+                     type_f=TypeFSpec(((1,), (2,), ()), ((2,), (0,), ())))
+    assert brute_force_pmf(spec).as_dict() == {
+        0: Fraction(57, 80), 1: Fraction(179, 630), 2: Fraction(17, 5040)}
+
+
 def test_brute_force_guard():
     with pytest.raises(TooLargeToEnumerate):
         brute_force_pmf(ModelSpec(kind="iid-square", field=F5, n=5))

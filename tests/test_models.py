@@ -1,12 +1,15 @@
+import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
 
-from fqrank.errors import EmptySupport, InvalidSpec
+from fqrank.errors import EmptySupport, InvalidSpec, TooLarge
 from fqrank.field import field_new
+from fqrank.harness import mc_corank
 from fqrank.matrix import FqMatrix
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
                            candidates_per_call, corank_of_sample, derive_rng,
@@ -62,6 +65,127 @@ def test_derive_rng_deterministic_and_trial_keyed():
     c = derive_rng(5, 4).integers(0, 1 << 30, 8)
     assert a.tolist() == b.tolist()
     assert a.tolist() != c.tolist()
+
+
+def test_derive_rng_streams_pinned():
+    # first draws of each stream, captured before derive_rng stopped building
+    # Philox(key=...): the streams must never change
+    expected = {
+        (0, 0): [1732311908832338799, 4492247348597469749, 2680695788093016340,
+                 1549287052922356039],
+        (5, 3): [2444057192070346366, 2195725546862151674, 3078571240752900425,
+                 3049056742983127277],
+        (-1, 7): [625198244095296097, 140084468906613190, 1491801076012399896,
+                  621060056510319282],
+        (2**62, 0): [3284088124594451618, 4454316770275062550, 4185390721759368039,
+                     3830783678376942420],
+        (110, 12345): [824396500245186270, 1151327244895683566, 1390950857154495689,
+                       3030684451703835755],
+    }
+    for (seed, trial), draws in expected.items():
+        assert derive_rng(seed, trial).integers(0, 2**62, 4).tolist() == draws
+
+
+def _random_law(rng: random.Random, q: int, D: int) -> EntryDist:
+    """A law on F_q with common denominator exactly D: random integer masses
+    summing to D, one of them 1, some of them 0."""
+    cuts = sorted(rng.randrange(1, D) for _ in range(q - 2)) if D > 1 else [0] * (q - 2)
+    masses = [b - a for a, b in zip([0] + cuts, cuts + [D - 1])] + [1]
+    rng.shuffle(masses)
+    return EntryDist(tuple(Fraction(m, D) for m in masses))
+
+
+class _FixedDraw:
+    """Stands in for a generator whose next bounded integer is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def integers(self, low, high):
+        assert 0 <= self.u < high
+        return self.u
+
+
+@pytest.mark.parametrize("q, D", [
+    (2, 1), (5, 1), (7, 7), (101, 101), (3, (1 << 16) + 1), (17, 3**30),
+    (101, (1 << 40) - 87), (5, (1 << 63) - 1), (101, (1 << 63) - 25)])
+def test_guide_table_lookup_matches_binary_search(q, D):
+    rng = random.Random(q * 1_000_003 + D)
+    for law in (_random_law(rng, q, D), _random_law(rng, q, D)):
+        assert law.denominator == D
+        cum = list(accumulate(int(c * D) for c in law.probs))
+        u = {0, D - 1} | {b for b in cum if b < D} | {b - 1 for b in cum if b > 0}
+        u |= {rng.randrange(D) for _ in range(200)}
+        u = sorted(u)
+        expected = [bisect_right(cum, x) for x in u]
+        assert law.lookup(np.array(u, dtype=np.int64)).tolist() == expected
+        assert [law.draw_one(_FixedDraw(x)) for x in u[:20]] == expected[:20]
+
+
+def test_guide_table_lookup_many_boundaries_in_one_bucket():
+    # 100 values of mass 1/D share the top bucket of a table over D ~ 2^40:
+    # the correction rounds must walk all of them
+    D = (1 << 40) + 3
+    law = EntryDist((1 - Fraction(100, D),) + (Fraction(1, D),) * 100)
+    cum = list(accumulate(int(c * D) for c in law.probs))
+    u = list(range(D - 120, D)) + [0, 1, D - 101]
+    assert law.lookup(np.array(u)).tolist() == [bisect_right(cum, x) for x in u]
+
+
+def test_guide_table_is_built_on_first_lookup():
+    d = near_uniform_dist(field_new(101), set(range(51, 101)))
+    spec = ModelSpec(kind="iid-square", field=field_new(101), n=4, entries=d)
+    assert "_guide" not in vars(d)
+    assert "_guide" not in vars(spec.default_dist())
+    d.lookup(np.array([0, 50]))
+    assert "_guide" in vars(d)
+
+
+def test_near_uniform_mc_counts_pinned():
+    # criterion 10's iid-square spec over ten blocks of 104 trials; counts
+    # captured before sampling moved from a binary search to the guide table
+    f = field_new(101)
+    d = near_uniform_dist(f, set(range(51, 101)))
+    spec = ModelSpec(kind="iid-square", field=f, n=50, entries=d,
+                     type_f=band_type_f(50, 0.05))
+    assert dict(mc_corank(spec, 1000, seed=110, threads=1).counts) == {0: 993, 1: 7}
+    # and one draw, entry by entry
+    M = sample(spec, 110, 0)
+    assert sum((i + 1) * v for i, v in enumerate(M.entries)) == 73419002
+
+
+def test_override_draws_pinned():
+    # overrides, one of them over a denominator above 2^16, drawn before and
+    # after the override lookups were batched over a stack
+    law = EntryDist((Fraction(1, 2), Fraction(0), Fraction(1, 6), Fraction(1, 4),
+                     Fraction(1, 12)))
+    big = EntryDist((Fraction(1, 3), Fraction(1, 999999999989), Fraction(0), Fraction(2, 5),
+                     1 - Fraction(1, 3) - Fraction(1, 999999999989) - Fraction(2, 5)))
+    expected = {
+        "iid-square": [(0, 3, 0, 0, 4, 0, 0, 2, 4), (0, 0, 2, 2, 4, 3, 2, 3, 2),
+                       (0, 0, 0, 3, 2, 0, 4, 0, 0)],
+        "symmetric": [(0, 3, 0, 3, 4, 0, 0, 0, 4), (0, 0, 2, 0, 4, 3, 2, 3, 2),
+                      (0, 0, 0, 0, 2, 0, 0, 0, 0)],
+    }
+    for kind, draws in expected.items():
+        spec = ModelSpec(kind=kind, field=F5, n=3, entries=law,
+                         overrides=((0, 1, big), (2, 2, law)))
+        assert [sample(spec, 9, t).entries for t in range(3)] == draws
+
+
+def test_entry_law_denominator_cap():
+    third = Fraction(1, 999999999989)
+    fourth = Fraction(1, 999999999961)
+    law = EntryDist((third, fourth, 1 - third - fourth))
+    assert law.denominator > 2**63
+    with pytest.raises(TooLarge):
+        ModelSpec(kind="iid-square", field=F3, n=3, entries=law)
+    with pytest.raises(TooLarge):
+        ModelSpec(kind="iid-square", field=F3, n=3, overrides=((0, 0, law),))
+    # the largest int64 denominator is still sampled
+    top = EntryDist((Fraction(1, 2**63 - 1), Fraction(0), 1 - Fraction(1, 2**63 - 1)))
+    spec = ModelSpec(kind="iid-square", field=F3, n=3, entries=top)
+    assert set(sample(spec, 1).entries) <= {0, 2}
 
 
 def test_model_spec_validation():
