@@ -30,7 +30,6 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from ._fast import SpanTracker, rank_mod_p, rank_stack
 from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec, TooLarge
@@ -47,7 +46,7 @@ MAX_ENTRIES = 1 << 22  # per matrix: a draw is a 32 MB int64 array at the cap
 MAX_DENOMINATOR = (1 << 63) - 1  # uniform integers and cumulative sums are int64
 
 
-class _PhiloxKey(ISeedSequence):
+class _PhiloxKey:
     """Hands Philox a ready key.  Philox(key=...) would first build a
     SeedSequence from OS entropy and then discard it, about half the cost of
     derive_rng; Philox(seed) takes its key from generate_state(2, uint64)
@@ -60,11 +59,19 @@ class _PhiloxKey(ISeedSequence):
         return self.key
 
 
+@lru_cache(maxsize=None)
+def _philox() -> type:
+    """np.random.Philox, once _PhiloxKey is registered as a seed sequence;
+    numpy.random then loads on the first draw, not when fqrank is imported."""
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+    return np.random.Philox
+
+
 def derive_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, trial)."""
     h = hashlib.sha256(b"fqrank" + struct.pack("<qq", seed, trial)).digest()
     key = np.array(struct.unpack("<QQ", h[:16]), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return np.random.Generator(_philox()(_PhiloxKey(key)))
 
 
 # ---------------------------------------------------------------------------
