@@ -1,4 +1,4 @@
-"""Vectorized elimination kernels used by the samplers and the Monte Carlo
+"""Vectorized elimination kernel used by the GL sampler and the Monte Carlo
 harness, on every field F_q.
 
 Elements are integer arrays with entries in [0, q); all arithmetic goes
@@ -9,14 +9,14 @@ update is Field.vec.sub_mul, which on prime fields leaves x - a*b unreduced
 [0, q) where an entry is compared or multiplied.  On extension fields
 sub_mul goes through exp/log tables and reduce is the identity, so the same
 kernel runs on every field.  FqMatrix.rank is the scalar counterpart and
-the independent oracle these kernels are tested against.
+the independent oracle this kernel is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import Field, field_new
+from .field import field_new
 
 
 def rank_stack(stack: np.ndarray, q: int) -> np.ndarray:
@@ -54,30 +54,3 @@ def rank_mod_p(mat: np.ndarray, q: int) -> int:
     """Rank over F_q of one integer matrix with entries in [0, q)."""
     return int(rank_stack(mat[None], q)[0])
 
-
-class SpanTracker:
-    """Incremental column-span membership over F_q.
-
-    Maintains a fully reduced basis (RREF rows) of the span; add() reduces a
-    vector against the basis and inserts it if it lies outside the span.
-    """
-
-    def __init__(self, n: int, f: Field):
-        self.f = f.vec
-        self.basis = np.zeros((0, n), dtype=np.int64)
-        self.pivots: list[int] = []
-
-    def add(self, x: np.ndarray) -> bool:
-        """Insert x; False, leaving the span unchanged, if x already lies in it."""
-        red = self.f.sub_dot(x, x[self.pivots], self.basis)
-        nz = np.nonzero(red)[0]
-        if nz.size == 0:
-            return False
-        j = int(nz[0])
-        red = self.f.mul(red, self.f.inv[red[j]])
-        if self.pivots:
-            self.basis = self.f.reduce(
-                self.f.sub_mul(self.basis, self.basis[:, j, None], red))
-        self.basis = np.vstack([self.basis, red[None, :]])
-        self.pivots.append(j)
-        return True

@@ -90,6 +90,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    if args.threshold is not None and not args.ref:
+        raise InvalidArgument("--threshold needs --ref: there is no law to compare against")
     spec = _load_spec(args.spec)
     result = harness.mc_corank(spec, args.trials, args.seed)
     out = {

@@ -326,10 +326,6 @@ class PrimeArrays:
         """x - a*b, broadcast and left unreduced: reduce() before comparing."""
         return x - a * b
 
-    def sub_dot(self, x: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """x - c @ B."""
-        return (x - c @ B) % self.q
-
 
 class TableArrays:
     """Arithmetic on F_{p^k}, k > 1, through exp/log tables: a*b is
@@ -372,12 +368,6 @@ class TableArrays:
     def sub_mul(self, x: np.ndarray, a, b) -> np.ndarray:
         """x - a*b, broadcast."""
         return self.sub(x, self.mul(a, b))
-
-    def sub_dot(self, x: np.ndarray, c: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """x - c @ B."""
-        for ci, row in zip(c, B):
-            x = self.sub(x, self.mul(row, ci))
-        return x
 
 
 class BinaryArrays(TableArrays):

@@ -12,10 +12,10 @@ maps the high bits of u, at most 2^16 buckets, to the first value each
 bucket can select, so for D <= 2^16 a draw is one table gather; larger D
 add a few vectorised correction rounds.  No floating-point thresholds.
 
-The GL kinds take each trial's first invertible whole-matrix candidate from
-its own stream (full_rank_stack): a stack of trials is ranked by one
-rank_stack call per rejection round.  A lone sample_gl call instead draws
-column by column against a SpanTracker, which is cheaper for one matrix.
+Every GL draw, a lone sample_gl included, is its stream's first invertible
+whole-matrix candidate (full_rank_stack).  A rejection round ranks all its
+candidates at once: by rank_stack, or by the scalar rank_rows when there
+are too few for numpy's per-call cost to pay.  Both ranks are exact.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from ._fast import SpanTracker, rank_mod_p, rank_stack
+from ._fast import rank_mod_p, rank_stack
 from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec, TooLarge
 from .field import Field, field_new
-from .matrix import FqMatrix, dumps_matrix, loads_matrix
+from .matrix import FqMatrix, dumps_matrix, loads_matrix, rank_rows
 
 KINDS = (
     "iid-square", "iid-rect", "symmetric", "alternating",
@@ -44,6 +44,7 @@ KINDS = (
 GL_KINDS = ("uniform-gl", "gl-minus-identity", "gl-corner")
 MAX_ENTRIES = 1 << 22  # per matrix: a draw is a 32 MB int64 array at the cap
 MAX_DENOMINATOR = (1 << 63) - 1  # uniform integers and cumulative sums are int64
+SCALAR_RANK_ENTRIES = 192  # rejection rounds this small are ranked by rank_rows
 
 
 class _PhiloxKey:
@@ -226,8 +227,12 @@ class ModelSpec:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
-        if self.kind == "iid-rect" and self.m < 0:
-            raise InvalidSpec("m must be >= 0")
+        if self.m < 0 or (self.m and self.kind != "iid-rect"):
+            raise InvalidSpec("m must be >= 0, and 0 unless the kind is iid-rect")
+        if self.kind != "gl-corner" and self.n_prime is not None:
+            raise InvalidSpec("n_prime is only for gl-corner")
+        if not self.kind.startswith("planted") and self.planted is not None:
+            raise InvalidSpec("a planted corner is only for planted kinds")
         if self.kind in ("alternating", "planted-alternating") and f.q % 2 == 0:
             raise InvalidSpec("alternating models require odd q (parity)")
         if self.kind == "gl-corner":
@@ -352,7 +357,12 @@ class ModelSpec:
 
     @staticmethod
     def _from_obj(obj: dict) -> "ModelSpec":
-        f = field_new(obj["q"])
+        def integer(x) -> int:  # int() would read 2.7 as 2 and true as 1
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InvalidSpec(f"sizes, indices and values must be integers, not {x!r}")
+            return x
+
+        f = field_new(integer(obj["q"]))
 
         def parse_dist(lst) -> EntryDist:
             probs = []
@@ -371,19 +381,19 @@ class ModelSpec:
             if "default" in e and e["default"] is not None:
                 entries = parse_dist(e["default"])
             overrides = tuple(
-                (int(i), int(j), parse_dist(d)) for i, j, d in e.get("overrides", [])
+                (integer(i), integer(j), parse_dist(d)) for i, j, d in e.get("overrides", [])
             )
         type_f = None
         if "F" in obj:
-            sets = tuple(tuple(int(i) for i in s) for s in obj["F"])
+            sets = tuple(tuple(integer(i) for i in s) for s in obj["F"])
             values = None
             if "F_values" in obj and obj["F_values"] is not None:
-                values = tuple(tuple(int(v) for v in vs) for vs in obj["F_values"])
+                values = tuple(tuple(integer(v) for v in vs) for vs in obj["F_values"])
             type_f = TypeFSpec(sets, values)
-        planted = loads_matrix(obj["planted"]) if obj.get("planted") else None
+        planted = loads_matrix(obj["planted"]) if obj.get("planted") is not None else None
         return ModelSpec(
-            kind=obj["kind"], field=f, n=int(obj["n"]), m=int(obj.get("m", 0)),
-            n_prime=(int(obj["n_prime"]) if obj.get("n_prime") is not None else None),
+            kind=obj["kind"], field=f, n=integer(obj["n"]), m=integer(obj.get("m", 0)),
+            n_prime=(integer(obj["n_prime"]) if obj.get("n_prime") is not None else None),
             entries=entries, overrides=overrides, type_f=type_f, planted=planted,
         )
 
@@ -431,28 +441,13 @@ def sample(spec: ModelSpec, seed: int, trial: int = 0) -> FqMatrix:
 
 
 def sample_gl(n: int, f: Field, seed: int, trial: int = 0) -> FqMatrix:
-    """A uniformly distributed element of GL_n(F_q), by per-column rejection
-    against the span of the columns kept so far.
-
-    sample_gl(n, f, s, t) and sample(uniform-gl spec, s, t) are both uniform
-    on GL_n(F_q) but are different draws: the spec path keeps the first
-    invertible whole-matrix candidate of the stream (full_rank_stack), which
-    ranks well in blocks, while a lone draw is cheaper column by column."""
-    return _as_matrix(f, _gl_array(n, f, derive_rng(seed, trial)))
+    """A uniformly distributed element of GL_n(F_q): the same draw as
+    sample of a uniform-gl spec with this (seed, trial)."""
+    return _as_matrix(f, full_rank_stack([derive_rng(seed, trial)], n, n, f.q)[0])
 
 
 def _as_matrix(f: Field, arr: np.ndarray) -> FqMatrix:
     return FqMatrix(f, arr.shape[0], arr.shape[1], tuple(arr.ravel().tolist()))
-
-
-def _gl_array(n: int, f: Field, rng: np.random.Generator) -> np.ndarray:
-    tracker = SpanTracker(n, f)
-    cols = []
-    while len(cols) < n:
-        x = rng.integers(0, f.q, size=n)
-        if tracker.add(x):
-            cols.append(x)
-    return np.stack(cols, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -478,17 +473,22 @@ def full_rank_stack(rngs: list[np.random.Generator], rows: int, cols: int,
     rank in its stream, stacked into a (len(rngs), rows, cols) array.
 
     Each round, every pending stream draws k = candidates_per_call(rows,
-    cols, q) candidates with one integers() call, one rank_stack call ranks
-    all pending candidates, and each stream keeps its first full-rank one.
-    A draw depends only on its stream and on k, so how the streams are
-    grouped into stacks never changes it.  A full-rank candidate is uniform
-    on the full-rank matrices: every rejected candidate is thrown away whole."""
+    cols, q) candidates with one integers() call, all pending candidates are
+    ranked at once, and each stream keeps its first full-rank one.  A round
+    of at most SCALAR_RANK_ENTRIES entries is ranked by rank_rows, a larger
+    one by one rank_stack call; both are exact.  A draw depends only on its
+    stream and on k, so how the streams are grouped into stacks never
+    changes it.  A full-rank candidate is uniform on the full-rank matrices:
+    every rejected candidate is thrown away whole."""
     k = candidates_per_call(rows, cols, q)
     out = np.empty((len(rngs), rows, cols), dtype=np.int64)
     todo = np.arange(len(rngs))
     while todo.size:
         cand = np.stack([rngs[i].integers(0, q, size=(k, rows, cols)) for i in todo])
-        ok = (rank_stack(cand.reshape(todo.size * k, rows, cols), q) == cols).reshape(-1, k)
+        flat = cand.reshape(todo.size * k, rows, cols)
+        ranks = (rank_stack(flat, q) if flat.size > SCALAR_RANK_ENTRIES
+                 else [rank_rows(m, field_new(q)) for m in flat.tolist()])
+        ok = (np.asarray(ranks) == cols).reshape(-1, k)
         hit = ok.any(axis=1)
         out[todo[hit]] = cand[hit, ok[hit].argmax(axis=1)]
         todo = todo[~hit]

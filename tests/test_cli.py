@@ -231,6 +231,22 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
     ({"kind": "iid-square", "q": 3, "n": 3, "entries": {"default": [
         1 / 999999999989, 1 / 999999999961, _BIG_DENOMINATOR["entries"]["default"][2]]}},
      ["mc", "SPEC", "--trials", "10", "--seed", "1"], "TooLarge"),
+    # spec parts that only other kinds read
+    ({"kind": "iid-square", "q": 3, "n": 3, "planted": "3 1 1\n1\n"},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "uniform-gl", "q": 3, "n": 3, "n_prime": 2},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "symmetric", "q": 3, "n": 3, "m": 2},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1", "--ref", "rect"], "InvalidSpec"),
+    # sizes that are not JSON integers
+    ({"kind": "iid-square", "q": 3, "n": 2.7}, ["sample", "SPEC", "--seed", "1"],
+     "InvalidSpec"),
+    ({"kind": "iid-square", "q": 3, "n": True}, ["sample", "SPEC", "--seed", "1"],
+     "InvalidSpec"),
+    # a pass threshold with no law to compare against
+    ({"kind": "iid-square", "q": 3, "n": 3},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1", "--threshold", "0.0"],
+     "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"
@@ -250,3 +266,23 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert fqrank.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_import_loads_neither_numpy_random_nor_scipy():
+    # numpy.random loads on the first draw and scipy only where a check needs
+    # a p-value, so a bare import of the package pays for neither
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fqrank
+
+    src = str(Path(fqrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, fqrank; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+import json
 import random
 from bisect import bisect_right
 from collections import Counter
@@ -11,10 +12,12 @@ from fqrank.errors import EmptySupport, InvalidSpec, TooLarge
 from fqrank.field import field_new
 from fqrank.harness import mc_corank
 from fqrank.matrix import FqMatrix
+from fqrank import models
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
                            candidates_per_call, corank_of_sample, derive_rng,
-                           near_uniform_dist, sample, sample_array, sample_gl,
-                           sample_stack, uniform_entry_dist, validate_conditions)
+                           full_rank_stack, near_uniform_dist, sample, sample_array,
+                           sample_gl, sample_stack, uniform_entry_dist,
+                           validate_conditions)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -230,6 +233,33 @@ def test_model_spec_validation():
             ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner, **bad)
     ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner,
               overrides=((2, 0, d),), type_f=TypeFSpec(((2,), (2,))))
+    # sizes and corners that only other kinds read
+    for kind, bad in (("iid-square", {"m": 1}), ("symmetric", {"m": 2}),
+                      ("uniform-gl", {"m": 1}), ("iid-square", {"n_prime": 2}),
+                      ("gl-minus-identity", {"n_prime": 2}), ("iid-rect", {"n_prime": 1}),
+                      ("symmetric", {"planted": corner}), ("uniform-gl", {"planted": corner})):
+        with pytest.raises(InvalidSpec):
+            ModelSpec(kind=kind, field=F3, n=3, **bad)
+
+
+_OVERRIDE = ["0", "1", "0"]
+
+
+@pytest.mark.parametrize("part", [
+    {"n": 2.7}, {"n": True}, {"n": 2.0}, {"n": "2"}, {"q": 3.0}, {"q": True},
+    {"kind": "iid-rect", "m": 1.5}, {"kind": "iid-rect", "m": True},
+    {"kind": "gl-corner", "n_prime": 1.0},
+    {"entries": {"overrides": [[0.0, 1, _OVERRIDE]]}},
+    {"entries": {"overrides": [[0, True, _OVERRIDE]]}},
+    {"F": [[1.0]]}, {"F": [[1], [0.5]]}, {"F": [[1]], "F_values": [[False]]},
+    {"F": [[1]], "F_values": [[1.0]]},
+])
+def test_from_json_refuses_non_integers(part):
+    # int() would read 2.7 as 2 and true as 1
+    good = {"kind": "iid-square", "q": 3, "n": 2, "m": 0}
+    assert ModelSpec.from_json(json.dumps(good)).n == 2
+    with pytest.raises(InvalidSpec):
+        ModelSpec.from_json(json.dumps({**good, **part}))
 
 
 def test_planted_validation():
@@ -323,6 +353,32 @@ def test_sample_gl_lone_draws_uniform_on_gl2_f3():
     assert len(gl) == 48 and set(cells) <= set(gl)
     stat = sum((cells[e] - 100) ** 2 / 100 for e in gl)
     assert chi2.sf(stat, 47) > 1e-3
+
+
+def test_sample_gl_is_the_uniform_gl_draw():
+    for q in (2, 3, 4, 5, 9):
+        f = field_new(q)
+        for n in (1, 2, 3, 5):
+            spec = ModelSpec(kind="uniform-gl", field=f, n=n)
+            for t in range(3):
+                assert sample_gl(n, f, 17, t) == sample(spec, 17, t), (q, n, t)
+
+
+@pytest.mark.parametrize("rows, cols, q", [
+    (1, 1, 2), (2, 2, 2), (2, 2, 3), (5, 5, 3), (8, 8, 2), (12, 12, 7),
+    (6, 3, 5),  # odlyzko_check's bases
+    (4, 4, 9), (3, 3, 4),
+])
+def test_full_rank_stack_same_under_either_rank(monkeypatch, rows, cols, q):
+    # a cutoff of 0 ranks every round by rank_stack, one above every round
+    # ranks every round by rank_rows; lone draws and stacks alike
+    for streams in (1, 30):
+        draws = []
+        for cutoff in (0, 10**9):
+            monkeypatch.setattr(models, "SCALAR_RANK_ENTRIES", cutoff)
+            rngs = [derive_rng(23, t) for t in range(streams)]
+            draws.append(full_rank_stack(rngs, rows, cols, q))
+        assert np.array_equal(*draws), (rows, cols, q, streams)
 
 
 def test_candidates_per_call():
