@@ -47,6 +47,11 @@ MAX_DENOMINATOR = (1 << 63) - 1  # uniform integers and cumulative sums are int6
 SCALAR_RANK_ENTRIES = 192  # rejection rounds this small are ranked by rank_rows
 
 
+def _is_int(x) -> bool:
+    """True for an integer; int() would read 2.7 as 2 and True as 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class _PhiloxKey:
     """Hands Philox a ready key.  Philox(key=...) would first build a
     SeedSequence from OS entropy and then discard it, about half the cost of
@@ -225,6 +230,8 @@ class ModelSpec:
         f = self.field
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
+        if not all(map(_is_int, (self.n, self.m, self.n_prime or 0))):
+            raise InvalidSpec("n, m and n_prime must be integers")
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
         if self.m < 0 or (self.m and self.kind != "iid-rect"):
@@ -265,8 +272,8 @@ class ModelSpec:
         if rows * cols > MAX_ENTRIES:
             raise TooLarge(f"a {rows}x{cols} matrix exceeds the cap of 2^22 entries")
         for i, j, _ in self.overrides:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise InvalidSpec("override index out of range")
+            if not (_is_int(i) and _is_int(j) and 0 <= i < rows and 0 <= j < cols):
+                raise InvalidSpec("override index out of range or not an integer")
             if i == j and "alternating" in self.kind:
                 raise InvalidSpec("alternating diagonal cannot be overridden")
             if i < m0 and j < m0:
@@ -276,13 +283,13 @@ class ModelSpec:
                 raise InvalidSpec("more F sets than columns")
             for col, rset in enumerate(self.type_f.sets):
                 for idx, r in enumerate(rset):
-                    if not (0 <= r < rows):
-                        raise InvalidSpec("F index out of range")
+                    if not (_is_int(r) and 0 <= r < rows):
+                        raise InvalidSpec("F index out of range or not an integer")
                     if r < m0 and col < m0:
                         raise InvalidSpec("F entry inside the planted corner")
                     v = (self.type_f.values[col][idx] if self.type_f.values else 0)
-                    if not (0 <= v < f.q):
-                        raise InvalidSpec("fixed value out of range")
+                    if not (_is_int(v) and 0 <= v < f.q):
+                        raise InvalidSpec("fixed value out of range or not an integer")
                     if r == col and v != 0 and "alternating" in self.kind:
                         raise InvalidSpec("alternating diagonal must be fixed to 0")
 
@@ -357,12 +364,9 @@ class ModelSpec:
 
     @staticmethod
     def _from_obj(obj: dict) -> "ModelSpec":
-        def integer(x) -> int:  # int() would read 2.7 as 2 and true as 1
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidSpec(f"sizes, indices and values must be integers, not {x!r}")
-            return x
-
-        f = field_new(integer(obj["q"]))
+        if not _is_int(obj["q"]):  # field_new(3.0) could return the cached Field(3)
+            raise InvalidSpec("q must be an integer")
+        f = field_new(obj["q"])
 
         def parse_dist(lst) -> EntryDist:
             probs = []
@@ -380,20 +384,18 @@ class ModelSpec:
             e = obj["entries"]
             if "default" in e and e["default"] is not None:
                 entries = parse_dist(e["default"])
-            overrides = tuple(
-                (integer(i), integer(j), parse_dist(d)) for i, j, d in e.get("overrides", [])
-            )
+            overrides = tuple((i, j, parse_dist(d)) for i, j, d in e.get("overrides", []))
         type_f = None
         if "F" in obj:
-            sets = tuple(tuple(integer(i) for i in s) for s in obj["F"])
+            sets = tuple(tuple(s) for s in obj["F"])
             values = None
             if "F_values" in obj and obj["F_values"] is not None:
-                values = tuple(tuple(integer(v) for v in vs) for vs in obj["F_values"])
+                values = tuple(tuple(vs) for vs in obj["F_values"])
             type_f = TypeFSpec(sets, values)
         planted = loads_matrix(obj["planted"]) if obj.get("planted") is not None else None
         return ModelSpec(
-            kind=obj["kind"], field=f, n=integer(obj["n"]), m=integer(obj.get("m", 0)),
-            n_prime=(integer(obj["n_prime"]) if obj.get("n_prime") is not None else None),
+            kind=obj["kind"], field=f, n=obj["n"], m=obj.get("m", 0),
+            n_prime=obj.get("n_prime"),
             entries=entries, overrides=overrides, type_f=type_f, planted=planted,
         )
 

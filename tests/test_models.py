@@ -240,6 +240,11 @@ def test_model_spec_validation():
                       ("symmetric", {"planted": corner}), ("uniform-gl", {"planted": corner})):
         with pytest.raises(InvalidSpec):
             ModelSpec(kind=kind, field=F3, n=3, **bad)
+    # sizes, indices and fixed values that are not integers
+    for bad in ({"n": 2.7}, {"n": True}, {"overrides": ((1.0, 0, d),)},
+                {"type_f": TypeFSpec(((True,),))}, {"type_f": TypeFSpec(((1,),), ((1.0,),))}):
+        with pytest.raises(InvalidSpec):
+            ModelSpec(**{"kind": "iid-square", "field": F3, "n": 3, **bad})
 
 
 _OVERRIDE = ["0", "1", "0"]
