@@ -62,6 +62,11 @@ def transition(kind: str, k: int, f: Field) -> tuple[Fraction, Fraction, Fractio
     raise InvalidArgument(f"unknown chain kind {kind!r}")
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise InvalidArgument("steps must be >= 0")
+
+
 def _step(kind: str, f: Field, dist: dict[int, Fraction],
           absorb_at_zero: bool = False) -> dict[int, Fraction]:
     new: dict[int, Fraction] = {}
@@ -88,6 +93,7 @@ def evolve(spec: ChainSpec, initial: CorankPMF, steps: int) -> CorankPMF:
     delta at 0 is the empty matrix) and the returned PMF is over the span
     codimension n - dim, which equals the matrix corank once steps = n.
     """
+    _check_steps(steps)
     if spec.kind == "iid-column":
         dist = {spec.n - dim: p for dim, p in initial.support}
         if any(k < 0 for k in dist):
@@ -108,6 +114,7 @@ def hit_zero_prob(spec: ChainSpec, x0: int, steps: int) -> Fraction:
     `steps` steps (absorbing-state computation)."""
     if x0 < 0:
         raise InvalidArgument("x0 must be >= 0")
+    _check_steps(steps)
     dist = {x0: Fraction(1)}
     for _ in range(steps):
         dist = _step(spec.kind, spec.field, dist, absorb_at_zero=True)
@@ -135,6 +142,7 @@ def most_likely_positive_path(spec: ChainSpec, x0: int, steps: int
         raise InvalidArgument("positive-path claim applies to symmetric/alternating")
     if x0 < 1:
         raise InvalidArgument("a strictly positive path needs x0 >= 1")
+    _check_steps(steps)
     path = [x0]
     pos = x0
     remaining = steps
@@ -155,6 +163,7 @@ def most_likely_positive_path(spec: ChainSpec, x0: int, steps: int
 def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
     """All strictly-positive paths with their exact probabilities (cross-check
     oracle; capped by the caller at modest step counts)."""
+    _check_steps(steps)
     out: list[tuple[tuple[int, ...], Fraction]] = []
 
     def rec(path: list[int], prob: Fraction) -> None:

@@ -216,6 +216,8 @@ def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
 
 def limit_rect_pmf(m: int, f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     """Truncated law of Q_{m,inf} for n x (n+m) uniform matrices."""
+    if m < 0:
+        raise InvalidArgument("need m >= 0")
     q = f.q
     return _truncated_limit(f, tol, 0, 1, lambda k, te: (
         Fraction(1, q ** (k * (m + k))) * _tail_product(q, k + 1, te)
@@ -259,7 +261,10 @@ def _law_kind(kind: str) -> str:
 
 def uniform_pmf(kind: str, n: int, f: Field, m: int = 0) -> CorankPMF:
     """Exact finite-n law of a law kind or of the model kind that follows it;
-    m (extra columns) is read only by rect."""
+    m (extra columns) is read only by rect.  The GL kinds follow the square
+    law only in the limit."""
+    if kind in ("gl-minus-identity", "gl-corner"):
+        raise InvalidArgument(f"no finite-n corank law for kind {kind!r}")
     kind = _law_kind(kind)
     if kind == "symmetric":
         return uniform_sym_pmf(n, f)

@@ -16,6 +16,7 @@ named check groups, one per acceptance criterion plus the GL subspace
 checks, each tagged with the `fqrank verify` suite that runs it.  A group
 yields its VerificationReports at fixed grids, seeds, trial counts and
 thresholds; the acceptance gate and the CLI both read them from here.
+The registry stamps each report's runtime; the checks read no clock.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ class MCResult:
 
 @dataclass
 class VerificationReport:
+    """One check's result.  runtime is the seconds a CHECKS group spent on
+    the report; a check function called directly leaves it at 0.0."""
+
     claim_id: str
     computed: dict
     bounds: dict
@@ -255,7 +259,6 @@ _FG_BOUNDS = {
 
 def fg_sandwich_check(kind: str, n: int, f: Field, m: int = 0) -> VerificationReport:
     """TV(finite-n law, limiting law) against the published sandwich bounds."""
-    t0 = time.perf_counter()
     q = f.q
     parity = "even" if n % 2 == 0 else "odd"
     finite = uniform_pmf(kind, n, f, m)
@@ -272,7 +275,6 @@ def fg_sandwich_check(kind: str, n: int, f: Field, m: int = 0) -> VerificationRe
         computed={"tv": tv, "tv_err": err},
         bounds={"lower": lower, "upper": upper},
         passed=passed,
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -280,7 +282,6 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
                   seed: int, f: Field) -> VerificationReport:
     """Empirical P(X in V) for random codimension-d subspaces V against the
     (C/q)^(d - k_bad) bound; the first k_bad coordinates are held at 0."""
-    t0 = time.perf_counter()
     q = f.q
     hits = 0
     k = candidates_per_call(n, n - d, q)
@@ -302,7 +303,6 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
         computed={"empirical": emp, "trials": trials},
         bounds={"bound": bound, "slack": slack},
         passed=passed,
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -315,7 +315,6 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
     q^(n(n+1)/2) symmetric matrices and filters on a zero diagonal.  The
     full-rank count of size n-1 symmetric matrices is reported alongside: it
     coincides with the zero-diagonal count exactly when n is even."""
-    t0 = time.perf_counter()
     q = f.q
     if q ** (n * (n - 1) // 2) > 10**7 or q ** (n * (n + 1) // 2) > 10**8:
         raise TooLargeToEnumerate("enumeration guard exceeded")
@@ -348,7 +347,6 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
                   "smaller_full_rank": smaller},
         bounds={"equal": True},
         passed=passed,
-        runtime=time.perf_counter() - t0,
         notes=("equals the size n-1 full-rank count" if direct == smaller else
                "differs from the size n-1 full-rank count (n odd)"),
     )
@@ -358,7 +356,6 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
                              f: Field) -> VerificationReport:
     """Frequency that the first k columns of a uniform GL_n draw restricted to
     the first l coordinates stay independent, against 1 - 2/q^(l-k)."""
-    t0 = time.perf_counter()
     q = f.q
     spec = ModelSpec(kind="uniform-gl", field=f, n=n)
     hits = sum(int((rank_stack(g[:, :l, :k], q) == k).sum())
@@ -372,7 +369,6 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
         computed={"empirical": emp, "trials": trials},
         bounds={"bound": bound, "slack": slack},
         passed=passed,
-        runtime=time.perf_counter() - t0,
         notes="bound is vacuous (negative) and trivially passes" if bound < 0 else "",
     )
 
@@ -410,7 +406,6 @@ def mc_limit_check(spec: ModelSpec, trials: int, seed: int,
     """Monte Carlo corank law of spec against the limit law of its kind:
     TV at most threshold and, on alternating kinds, every corank of the
     parity of n."""
-    t0 = time.perf_counter()
     res = mc_corank(spec, trials, seed)
     n, f = spec.n, spec.field
     ref = limit_pmf(spec.kind, f, spec.m, "even" if n % 2 == 0 else "odd")
@@ -420,7 +415,6 @@ def mc_limit_check(spec: ModelSpec, trials: int, seed: int,
     if "alternating" in spec.kind:
         rep.computed["parity_ok"] = all(k % 2 == n % 2 for k in res.counts)
         rep.passed = rep.passed and rep.computed["parity_ok"]
-    rep.runtime = time.perf_counter() - t0
     return rep
 
 
@@ -431,7 +425,6 @@ def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> Verificatio
     prod_{i<n} (q^n - q^i) of them."""
     from scipy.stats import chi2
 
-    t0 = time.perf_counter()
     q = f.q
     # 1 + the cell of each matrix, keyed by its entries read as a base-q
     # number; 0 for a singular matrix
@@ -457,14 +450,12 @@ def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> Verificatio
                   "singular": singular, "trials": trials},
         bounds={"p_value_min": 1e-3, "cells": order},
         passed=pvalue > 1e-3 and cells == order and singular == 0,
-        runtime=time.perf_counter() - t0,
     )
 
 
 def formula_enumeration_check(kind: str, n: int, f: Field, m: int = 0) -> VerificationReport:
     """Closed-form finite-n PMF against the weighted enumeration oracle;
     the two must agree as exact rationals."""
-    t0 = time.perf_counter()
     closed = uniform_pmf(kind, n, f, m)
     spec = ModelSpec(kind=kind, field=f, n=n, m=m)
     enum = brute_force_pmf(spec)
@@ -474,13 +465,11 @@ def formula_enumeration_check(kind: str, n: int, f: Field, m: int = 0) -> Verifi
         computed={"closed_form": closed.as_dict(), "enumeration": enum.as_dict()},
         bounds={"equal": True},
         passed=passed,
-        runtime=time.perf_counter() - t0,
     )
 
 
 def chain_consistency_check(kind: str, n: int, f: Field) -> VerificationReport:
     """evolve(delta_0, n) against the matching closed-form finite-n law."""
-    t0 = time.perf_counter()
     spec = ChainSpec(kind, f, n=n if kind == "iid-column" else None)
     closed = uniform_pmf(kind, n, f)
     evolved = evolve(spec, delta_pmf(0), n)
@@ -490,14 +479,12 @@ def chain_consistency_check(kind: str, n: int, f: Field) -> VerificationReport:
         computed={"evolved": evolved.as_dict(), "closed_form": closed.as_dict()},
         bounds={"equal": True},
         passed=passed,
-        runtime=time.perf_counter() - t0,
     )
 
 
 def planted_tv_check(kind: str, x0: int, added_steps: int, f: Field) -> VerificationReport:
     """TV(planted-corner law, limiting law) against the exact bound
     3^(n/2) / q^(n/2 - m0) with n = x0 + added_steps and m0 = x0."""
-    t0 = time.perf_counter()
     n, m0, q = x0 + added_steps, x0, f.q
     limit = limit_pmf(kind, f, parity="even" if n % 2 == 0 else "odd",
                       tol=Fraction(1, 10**30))
@@ -510,14 +497,12 @@ def planted_tv_check(kind: str, x0: int, added_steps: int, f: Field) -> Verifica
         computed={"tv": tv, "tv_err": err},
         bounds={"bound": bound},
         passed=passed,
-        runtime=time.perf_counter() - t0,
     )
 
 
 def hit_zero_bound_check(kind: str, m0: int, s: int, f: Field) -> VerificationReport:
     """Exact hitting-zero probability within s steps from corank m0 against
     the lower bound 1 - 3^s / q^(s - m0)."""
-    t0 = time.perf_counter()
     spec = ChainSpec(kind, f) if kind != "iid-column" else ChainSpec(kind, f, n=m0 + s)
     prob = hit_zero_prob(spec, m0, s)
     bound = 1 - Fraction(3**s, f.q ** (s - m0))
@@ -526,7 +511,6 @@ def hit_zero_bound_check(kind: str, m0: int, s: int, f: Field) -> VerificationRe
         computed={"hit_zero_prob": prob},
         bounds={"lower_bound": bound},
         passed=prob >= bound,
-        runtime=time.perf_counter() - t0,
         notes="bound is vacuous (nonpositive) and trivially holds" if bound <= 0 else "",
     )
 
@@ -534,7 +518,6 @@ def hit_zero_bound_check(kind: str, m0: int, s: int, f: Field) -> VerificationRe
 def path_claim_check(kind: str, x0: int, steps: int, f: Field) -> VerificationReport:
     """most_likely_positive_path against exhaustive enumeration of all
     strictly positive paths (ties count as success)."""
-    t0 = time.perf_counter()
     spec = ChainSpec(kind, f)
     path, prob = most_likely_positive_path(spec, x0, steps)
     best = max(p for _, p in enumerate_positive_paths(spec, x0, steps))
@@ -543,7 +526,6 @@ def path_claim_check(kind: str, x0: int, steps: int, f: Field) -> VerificationRe
         computed={"claimed_path": list(path), "claimed_prob": prob, "max_prob": best},
         bounds={"equal": True},
         passed=prob == best,
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -562,7 +544,6 @@ def _random_dist(rnd, q: int) -> EntryDist:
 def unconc_uniform_suite(count: int, seed: int) -> VerificationReport:
     """Randomized instances of the subspace anti-concentration inequality
     |P(X in H) - q^-d| <= 2 * max_w |P(X.w = 0) - 1/q|."""
-    t0 = time.perf_counter()
     rnd = random.Random(seed)
     failures = []
     for i in range(count):
@@ -587,14 +568,12 @@ def unconc_uniform_suite(count: int, seed: int) -> VerificationReport:
         computed={"instances": count, "failures": failures},
         bounds={"failures": 0},
         passed=not failures,
-        runtime=time.perf_counter() - t0,
     )
 
 
 def decoupling_suite(count: int, seed: int) -> VerificationReport:
     """Randomized instances of the decoupling inequality
     sup_r |P(x.Ax + b.x = r) - 1/q|^4 <= |P(y.A'y = 0) - 1/q|."""
-    t0 = time.perf_counter()
     rnd = random.Random(seed)
     failures = []
     for i in range(count):
@@ -614,23 +593,22 @@ def decoupling_suite(count: int, seed: int) -> VerificationReport:
         computed={"instances": count, "failures": failures},
         bounds={"failures": 0},
         passed=not failures,
-        runtime=time.perf_counter() - t0,
     )
 
 
 def threshold_parseval_check(q_max: int, seed: int = 0) -> VerificationReport:
     """|T| <= C*q/K^2 and sum_y f(y)^2 <= C over all prime powers q <= q_max,
     for a family of stress distributions and a grid of K values."""
-    t0 = time.perf_counter()
     rnd = random.Random(seed)
     failures = []
     qs = [q for q in range(2, q_max + 1) if _is_prime_power(q)]
     for q in qs:
         f = field_new(q)
         dists = [
-            EntryDist(tuple(Fraction(1, q) for _ in range(q))),
-            near_uniform_half(q),
-            spiked_dist(q),
+            uniform_entry_dist(f),
+            near_uniform_dist(f, range((q + 1) // 2, q)),  # uniform on the lower half
+            # half the mass at 0, the rest uniform (C = q/2 for q > 2)
+            EntryDist((Fraction(1, 2),) + (Fraction(1, 2 * (q - 1)),) * (q - 1)),
             _random_dist(rnd, q),
         ]
         for d in dists:
@@ -648,7 +626,6 @@ def threshold_parseval_check(q_max: int, seed: int = 0) -> VerificationReport:
         computed={"fields_checked": len(qs), "failures": failures},
         bounds={"failures": 0},
         passed=not failures,
-        runtime=time.perf_counter() - t0,
     )
 
 
@@ -658,22 +635,6 @@ def _is_prime_power(q: int) -> bool:
         return True
     except NotPrimePower:
         return False
-
-
-def near_uniform_half(q: int) -> EntryDist:
-    """Uniform on the lower half of F_q (C about 2)."""
-    half = (q + 1) // 2
-    return EntryDist(tuple(
-        Fraction(1, half) if v < half else Fraction(0) for v in range(q)
-    ))
-
-
-def spiked_dist(q: int) -> EntryDist:
-    """Half the mass at 0, the rest uniform (C = q/2 for q > 2)."""
-    if q == 2:
-        return EntryDist((Fraction(1, 2), Fraction(1, 2)))
-    rest = Fraction(1, 2 * (q - 1))
-    return EntryDist((Fraction(1, 2),) + (rest,) * (q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -784,21 +745,33 @@ def _gl_subspaces():
     yield odlyzko_check(6, 3, 0, uniform_entry_dist(f5), 4000, 15, f5)
 
 
-# Group name -> group, in the order of the twelve acceptance criteria, then
-# the checks only `fqrank verify` runs.  The acceptance gate runs each group
-# once; `fqrank verify SUITE` runs every group of that suite, in this order.
+def _timed(run: Callable[[], Iterator[VerificationReport]]) -> Callable:
+    """run, with each report's runtime set to the seconds spent producing it."""
+    def timed():
+        t0 = time.perf_counter()
+        for rep in run():
+            rep.runtime = time.perf_counter() - t0
+            yield rep
+            t0 = time.perf_counter()
+    return timed
+
+
+# Group name, suite and group, in the order of the twelve acceptance criteria,
+# then the checks only `fqrank verify` runs.  The acceptance gate runs each
+# group once; `fqrank verify SUITE` runs every group of that suite, in order.
 CHECKS: dict[str, CheckGroup] = {
-    "formula-enumeration": CheckGroup("formulas", _formula_enumeration),
-    "chain-consistency": CheckGroup("chain", _chain_consistency),
-    "fg-sandwich": CheckGroup("sandwich", _fg_sandwich),
-    "gl-uniformity": CheckGroup("gl", _gl_uniformity),
-    "gl-minus-identity": CheckGroup("theorems", _gl_minus_identity),
-    "gl-corner": CheckGroup("theorems", _gl_corner),
-    "planted-corner": CheckGroup("chain", _planted_corner),
-    "hit-zero": CheckGroup("chain", _hit_zero),
-    "most-likely-path": CheckGroup("chain", _most_likely_path),
-    "near-uniform": CheckGroup("theorems", _near_uniform),
-    "structure-inequalities": CheckGroup("structure", _structure_inequalities),
-    "zero-diag-count": CheckGroup("counting", _zero_diag_count),
-    "gl-subspaces": CheckGroup("gl", _gl_subspaces),
-}
+    name: CheckGroup(suite, _timed(run)) for name, suite, run in (
+        ("formula-enumeration", "formulas", _formula_enumeration),
+        ("chain-consistency", "chain", _chain_consistency),
+        ("fg-sandwich", "sandwich", _fg_sandwich),
+        ("gl-uniformity", "gl", _gl_uniformity),
+        ("gl-minus-identity", "theorems", _gl_minus_identity),
+        ("gl-corner", "theorems", _gl_corner),
+        ("planted-corner", "chain", _planted_corner),
+        ("hit-zero", "chain", _hit_zero),
+        ("most-likely-path", "chain", _most_likely_path),
+        ("near-uniform", "theorems", _near_uniform),
+        ("structure-inequalities", "structure", _structure_inequalities),
+        ("zero-diag-count", "counting", _zero_diag_count),
+        ("gl-subspaces", "gl", _gl_subspaces),
+    )}

@@ -32,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._fast import rank_mod_p, rank_stack
-from .errors import EmptySupport, EvenCharacteristic, FqRankError, InvalidSpec, TooLarge
+from .errors import EmptySupport, FqRankError, InvalidArgument, InvalidSpec, TooLarge
 from .field import Field, field_new
 from .matrix import FqMatrix, dumps_matrix, loads_matrix, rank_rows
 
@@ -45,6 +45,7 @@ GL_KINDS = ("uniform-gl", "gl-minus-identity", "gl-corner")
 MAX_ENTRIES = 1 << 22  # per matrix: a draw is a 32 MB int64 array at the cap
 MAX_DENOMINATOR = (1 << 63) - 1  # uniform integers and cumulative sums are int64
 SCALAR_RANK_ENTRIES = 192  # rejection rounds this small are ranked by rank_rows
+MAX_PROB_CHARS = 256  # a spec's probability strings: length and exponent magnitude
 
 
 def _is_int(x) -> bool:
@@ -74,8 +75,13 @@ def _philox() -> type:
 
 
 def derive_rng(seed: int, trial: int = 0) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, trial)."""
-    h = hashlib.sha256(b"fqrank" + struct.pack("<qq", seed, trial)).digest()
+    """Counter-based generator keyed by (seed, trial), each a signed 64-bit
+    integer."""
+    try:
+        packed = struct.pack("<qq", seed, trial)
+    except struct.error:
+        raise InvalidArgument("seed and trial must be integers in [-2^63, 2^63)") from None
+    h = hashlib.sha256(b"fqrank" + packed).digest()
     key = np.array(struct.unpack("<QQ", h[:16]), dtype=np.uint64)
     return np.random.Generator(_philox()(_PhiloxKey(key)))
 
@@ -359,7 +365,7 @@ class ModelSpec:
         except FqRankError:
             raise
         except (AttributeError, KeyError, IndexError, TypeError, ValueError,
-                OverflowError) as exc:
+                OverflowError, ZeroDivisionError) as exc:
             raise InvalidSpec(f"malformed spec: {type(exc).__name__}: {exc}") from exc
 
     @staticmethod
@@ -372,6 +378,11 @@ class ModelSpec:
             probs = []
             for x in lst:
                 if isinstance(x, str):
+                    # Fraction("1e-99999999") would build a 10^8-digit power of ten
+                    _, e, exp = x.lower().partition("e")
+                    if len(x) > MAX_PROB_CHARS or (e and abs(int(exp)) > MAX_PROB_CHARS):
+                        raise InvalidSpec(f"probability strings take at most {MAX_PROB_CHARS}"
+                                          f" characters and exponents up to {MAX_PROB_CHARS}")
                     probs.append(Fraction(x))
                 elif isinstance(x, float):
                     probs.append(Fraction(x).limit_denominator(10**12))

@@ -15,6 +15,7 @@ code they are used to validate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -58,13 +59,10 @@ def threshold_set(d: EntryDist, K: float) -> frozenset[int]:
 def diff_dist(d: EntryDist) -> EntryDist:
     """Distribution of x - x' for iid x, x' ~ d."""
     f = field_new(d.q)
+    support = [(k, c) for k, c in enumerate(d.probs) if c]
     probs = [Fraction(0)] * d.q
-    for k, ck in enumerate(d.probs):
-        if not ck:
-            continue
-        for k2, ck2 in enumerate(d.probs):
-            if ck2:
-                probs[f.sub(k, k2)] += ck * ck2
+    for (k, c), (k2, c2) in product(support, repeat=2):
+        probs[f.sub(k, k2)] += c * c2
     return EntryDist(tuple(probs))
 
 
@@ -203,7 +201,8 @@ def check_unconc_implies_uniform(H_basis: list, dists: list[EntryDist],
 def quad_form_pmf(B, linear, dists: list[EntryDist],
                   fixed: dict[int, int] | None = None) -> dict[int, Fraction]:
     """Exact distribution of sum_{ij} B[i][j] x_i x_j + sum_i linear[i] x_i,
-    by weighted enumeration of all free coordinates."""
+    by weighted enumeration of all free coordinates: integer weights over
+    each law's own denominator, divided out once at the end."""
     fixed = fixed or {}
     m = len(dists)
     q = dists[0].q
@@ -211,37 +210,23 @@ def quad_form_pmf(B, linear, dists: list[EntryDist],
     free = [i for i in range(m) if i not in fixed]
     if len(free) > 8 or q ** len(free) > 10**6:
         raise TooLargeToEnumerate(f"q^{len(free)} assignments exceed the guard")
-    B = [list(r) for r in B]
-    linear = list(linear)
-    supports = {i: [(x, c) for x, c in enumerate(dists[i].probs) if c] for i in free}
-    out: dict[int, Fraction] = {v: Fraction(0) for v in range(q)}
-    x = [0] * m
-    for i, v in fixed.items():
-        x[i] = v
-
-    def value() -> int:
+    supports = [[(v, w) for v, w in enumerate(dists[i].numerators) if w] for i in free]
+    scale = math.prod(dists[i].denominator for i in free)
+    terms = [(i, j, B[i][j]) for i in range(m) for j in range(m) if B[i][j]]
+    x = [fixed.get(i, 0) for i in range(m)]
+    masses = [0] * q
+    for assignment in product(*supports):
+        weight = 1
+        for i, (v, w) in zip(free, assignment):
+            x[i] = v
+            weight *= w
         acc = 0
         for i in range(m):
-            if x[i] == 0:
-                continue
             acc = f.add(acc, f.mul(linear[i], x[i]))
-            for j in range(m):
-                if x[j] and B[i][j]:
-                    acc = f.add(acc, f.mul(B[i][j], f.mul(x[i], x[j])))
-        return acc
-
-    def rec(pos: int, weight: Fraction) -> None:
-        if pos == len(free):
-            out[value()] += weight
-            return
-        i = free[pos]
-        for v, c in supports[i]:
-            x[i] = v
-            rec(pos + 1, weight * c)
-        x[i] = 0
-
-    rec(0, Fraction(1))
-    return out
+        for i, j, b in terms:
+            acc = f.add(acc, f.mul(b, f.mul(x[i], x[j])))
+        masses[acc] += weight
+    return {v: Fraction(w, scale) for v, w in enumerate(masses)}
 
 
 def check_decoupling(A, b, dists: list[EntryDist], I) -> tuple[Fraction, Fraction, bool]:

@@ -6,7 +6,7 @@ from fqrank.chain import (ChainSpec, delta_pmf, enumerate_positive_paths,
                           evolve, hit_zero_prob, most_likely_positive_path,
                           path_probability, planted_pmf, transition)
 from fqrank.distributions import uniform_alt_pmf, uniform_sym_pmf, uniform_square_pmf
-from fqrank.errors import EvenCharacteristic
+from fqrank.errors import EvenCharacteristic, InvalidArgument
 from fqrank.field import field_new
 
 F2 = field_new(2)
@@ -92,3 +92,15 @@ def test_planted_pmf_from_zero_matches_uniform():
         assert pmf.as_dict() == uniform_sym_pmf(4, f).as_dict()
     pmf = planted_pmf("alternating", 1, 4, F3)
     assert all(k % 2 == 1 for k, _ in pmf.support)
+
+
+def test_negative_steps_refused():
+    spec = ChainSpec("symmetric", F3)
+    calls = [lambda: evolve(spec, delta_pmf(1), -1),
+             lambda: hit_zero_prob(spec, 1, -2),
+             lambda: most_likely_positive_path(spec, 1, -1),
+             lambda: enumerate_positive_paths(spec, 1, -1),
+             lambda: planted_pmf("alternating", 1, -1, F3)]
+    for call in calls:
+        with pytest.raises(InvalidArgument):
+            call()

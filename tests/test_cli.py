@@ -247,6 +247,29 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
     ({"kind": "iid-square", "q": 3, "n": 3},
      ["mc", "SPEC", "--trials", "10", "--seed", "1", "--threshold", "0.0"],
      "InvalidArgument"),
+    # seeds and trials outside signed 64-bit
+    ({"kind": "iid-square", "q": 3, "n": 2}, ["sample", "SPEC", "--seed", str(2**64)],
+     "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 2}, ["sample", "SPEC", "--seed", str(-2**63 - 1)],
+     "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 2},
+     ["sample", "SPEC", "--seed", "1", "--trial", str(-2**63 - 1)], "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 2},
+     ["mc", "SPEC", "--trials", "10", "--seed", str(2**64)], "InvalidArgument"),
+    # probability strings Fraction divides by zero on, or would spend minutes on
+    ({"kind": "iid-square", "q": 2, "n": 2, "entries": {"default": ["1/0", "1/2"]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "iid-square", "q": 2, "n": 2, "entries": {"default": ["0/0", "1"]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "iid-square", "q": 2, "n": 2, "entries": {"default": ["1e-99999999", "1"]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    # negative step counts and extra columns
+    (None, ["chain", "symmetric", "--q", "3", "--x0", "1", "--steps", "-1", "--path"],
+     "InvalidArgument"),
+    (None, ["chain", "symmetric", "--q", "3", "--x0", "1", "--steps", "-2", "--hit-zero"],
+     "InvalidArgument"),
+    (None, ["dist", "rect", "--limit", "--q", "3", "--m", "-2"], "InvalidArgument"),
+    (None, ["dist", "rect", "--limit", "--q", "3", "--m", "-1"], "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

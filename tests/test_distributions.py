@@ -162,8 +162,21 @@ def test_kind_lookup():
     assert limit_pmf("alternating", F3, parity="odd", tol=TOL) == limit_alt_pmf(F3, "odd", TOL)
     with pytest.raises(InvalidArgument):
         uniform_pmf("uniform-gl", 3, F3)
+    # the GL perturbations follow the square law only in the limit
+    with pytest.raises(InvalidArgument):
+        uniform_pmf("gl-corner", 3, F3)
+    with pytest.raises(InvalidArgument):
+        uniform_pmf("gl-minus-identity", 1, F2)
     with pytest.raises(InvalidArgument):
         limit_pmf("alternating", F3)  # no parity
+
+
+def test_negative_m_refused():
+    with pytest.raises(InvalidArgument):
+        uniform_rect_pmf(3, -1, F3)
+    for m in (-1, -2):
+        with pytest.raises(InvalidArgument):
+            limit_rect_pmf(m, F3, TOL)
 
 
 def test_limit_alt_parity_support():

@@ -7,7 +7,9 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fqrank._fast import rank_stack
+from fqrank.chain import CHAIN_KINDS
 from fqrank.cli import main
+from fqrank.distributions import LAW_KINDS
 from fqrank.errors import FqRankError
 from fqrank.field import field_new
 from fqrank.matrix import FqMatrix, loads_matrix
@@ -33,7 +35,9 @@ def _or_any(strategy):
 # a valid spec of a few thousand rows would only make the CLI slow.
 small = st.integers(-2, 6)
 size = small | st.integers(min_value=2**22, max_value=2**70) | st.just(float("inf"))
-prob = st.sampled_from(["1/2", "1/3", "0", "1", "-1/2", "x"]) | st.integers(-1, 2) | st.floats()
+prob = (st.sampled_from(["1/2", "1/3", "0", "1", "-1/2", "x", "1/0", "0/0", "1e-3",
+                         "1e-99999999"])
+        | st.integers(-1, 2) | st.floats())
 dist = st.lists(prob, max_size=5)
 spec_like = st.fixed_dictionaries(
     {"kind": _or_any(st.sampled_from(KINDS)),
@@ -56,6 +60,8 @@ spec_like = st.fixed_dictionaries(
 @given(obj=json_values | spec_like)
 @example(obj={"kind": "iid-square", "q": 2, "n": float("inf")})
 @example(obj={"kind": "iid-square", "q": 2, "n": 2, "entries": {"default": [float("inf"), 0]}})
+@example(obj={"kind": "iid-square", "q": 2, "n": 2, "entries": {"default": ["1/0", "1"]}})
+@example(obj={"kind": "iid-square", "q": 2, "n": 2, "entries": {"default": ["1e-99999999", "1"]}})
 def test_model_spec_from_json_fuzz(obj):
     for text in (obj, json.dumps(obj)):
         try:
@@ -104,6 +110,53 @@ def test_cli_structure_vector_fuzz(tmp_path, capsys, q, vector, K, M):
     argv = ["structure", str(path), f"--vector={vector}"]
     argv += [] if K is None else [f"--K={K}"]
     argv += [] if M is None else [f"--M={M}"]
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+
+
+@FUZZ
+@given(seed=st.integers(), trial=st.integers())
+@example(seed=2**64, trial=0)
+@example(seed=-2**63 - 1, trial=0)
+@example(seed=0, trial=-2**63 - 1)
+@example(seed=2**63 - 1, trial=-2**63)
+def test_cli_seed_trial_fuzz(tmp_path, capsys, seed, trial):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "iid-square", "q": 3, "n": 2}))
+    in_range = all(-2**63 <= x < 2**63 for x in (seed, trial))
+    argv = ["sample", str(path), f"--seed={seed}", f"--trial={trial}"]
+    assert main(argv) == (0 if in_range else 2)
+    assert main(["mc", str(path), "--trials", "3", f"--seed={seed}"]) == \
+        (0 if -2**63 <= seed < 2**63 else 2)
+    capsys.readouterr()
+
+
+qs = st.sampled_from([2, 3, 4, 5, 9, 0, 1, 6])
+counts = st.integers(-3, 12)
+
+
+@FUZZ
+@given(kind=st.sampled_from(LAW_KINDS), q=qs, n=st.none() | counts, m=st.integers(-3, 5),
+       parity=st.sampled_from(["even", "odd"]), limit=st.booleans())
+@example(kind="rect", q=3, n=None, m=-2, parity="even", limit=True)
+@example(kind="rect", q=3, n=None, m=-1, parity="even", limit=True)
+def test_cli_dist_fuzz(capsys, kind, q, n, m, parity, limit):
+    argv = ["dist", kind, f"--q={q}", f"--m={m}", f"--parity={parity}"]
+    argv += [] if n is None else [f"--n={n}"]
+    argv += ["--limit"] if limit else []
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+
+
+@FUZZ
+@given(kind=st.sampled_from(CHAIN_KINDS), q=qs, x0=counts, steps=st.integers(-20, 20),
+       n=st.none() | counts, mode=st.sampled_from([None, "--hit-zero", "--path", "--planted"]))
+@example(kind="symmetric", q=3, x0=1, steps=-1, n=None, mode="--path")
+@example(kind="symmetric", q=3, x0=1, steps=-2, n=None, mode="--hit-zero")
+def test_cli_chain_fuzz(capsys, kind, q, x0, steps, n, mode):
+    argv = ["chain", kind, f"--q={q}", f"--x0={x0}", f"--steps={steps}"]
+    argv += [] if n is None else [f"--n={n}"]
+    argv += [] if mode is None else [mode]
     assert main(argv) in (0, 2)
     capsys.readouterr()
 

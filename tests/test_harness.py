@@ -310,6 +310,14 @@ def test_report_serializes():
     assert "fg-sandwich-square-n4-q2" in text
 
 
+def test_registry_times_each_report():
+    reports = list(harness.CHECKS["zero-diag-count"].run())
+    assert len(reports) == 4
+    assert all(r.runtime > 0 for r in reports)
+    # the check functions read no clock: a direct call leaves the default
+    assert zero_diag_count_check(2, F2).runtime == 0.0
+
+
 def test_near_uniform_mc_against_limit():
     d = near_uniform_dist(F5, {4})
     spec = ModelSpec(kind="iid-square", field=F5, n=12, entries=d)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -191,6 +192,25 @@ def test_entry_law_denominator_cap():
     top = EntryDist((Fraction(1, 2**63 - 1), Fraction(0), 1 - Fraction(1, 2**63 - 1)))
     spec = ModelSpec(kind="iid-square", field=F3, n=3, entries=top)
     assert set(sample(spec, 1).entries) <= {0, 2}
+
+
+def test_probability_strings_bounded():
+    def law(*probs):
+        spec = {"kind": "iid-square", "q": 2, "n": 2, "entries": {"default": list(probs)}}
+        return ModelSpec.from_json(spec).entries.probs
+
+    assert law("1e-3", "999E-3") == (Fraction(1, 1000), Fraction(999, 1000))
+    half = "0.5" + "0" * 253  # 256 characters
+    assert law(half, "1/2") == (Fraction(1, 2), Fraction(1, 2))
+    assert law("0e-256", "1") == (0, 1)
+    for probs in (("1/0", "1"), ("0/0", "1"), (half + "0", "1/2"), ("0e-257", "1")):
+        with pytest.raises(InvalidSpec):
+            law(*probs)
+    # Fraction would build a 10^8-digit power of ten; the check refuses it first
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidSpec):
+        law("1e-99999999", "1")
+    assert time.perf_counter() - t0 < 10
 
 
 def test_model_spec_validation():

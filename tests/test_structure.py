@@ -190,6 +190,34 @@ def test_quad_form_pmf_against_enumeration():
     assert pmf == direct
 
 
+def _law(*weights):
+    return EntryDist(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@pytest.mark.parametrize("B, b, dists, fixed, expected", [
+    # q=4, no fixed coordinates
+    ([[1, 2, 0], [3, 0, 1], [0, 2, 3]], [1, 0, 2],
+     [_law(1, 2, 0, 1), _law(3, 1, 1, 0), _law(1, 1, 1, 1)], None,
+     {0: "2/5", 1: "2/5", 2: "1/10", 3: "1/10"}),
+    # q=4, the middle coordinate fixed
+    ([[0, 1, 1], [1, 2, 0], [3, 0, 1]], [2, 3, 0],
+     [_law(2, 0, 1, 1), _law(1, 1, 1, 1), _law(0, 1, 2, 3)], {1: 3},
+     {0: "1/4", 1: "5/24", 2: "7/24", 3: "1/4"}),
+    # q=5, two of four coordinates fixed
+    ([[1, 0, 2, 0], [0, 4, 0, 1], [3, 0, 0, 2], [0, 1, 1, 0]], [0, 1, 4, 2],
+     [_law(1, 2, 3, 0, 1), _law(1, 0, 0, 0, 1), _law(2, 1, 1, 1, 0), _law(0, 0, 1, 1, 1)],
+     {0: 2, 3: 4}, {0: "1/5", 1: "0", 2: "2/5", 3: "1/5", 4: "1/5"}),
+    # q=3, a point mass: every value of F_q is a key, zero masses included
+    ([[1, 0], [0, 0]], [0, 0], [_law(0, 1, 1), _law(1, 0, 0)], None,
+     {0: "0", 1: "1", 2: "0"}),
+])
+def test_quad_form_pmf_pinned(B, b, dists, fixed, expected):
+    # values captured from the recursive Fraction-weight enumerator
+    pmf = quad_form_pmf(B, b, dists, fixed)
+    assert pmf == {v: Fraction(p) for v, p in expected.items()}
+    assert list(pmf) == list(range(dists[0].q))
+
+
 def test_decoupling_holds():
     dists = [HALF, near_uniform_dist(F3, {1}), uniform_entry_dist(F3)]
     A = [[1, 2, 0], [1, 1, 1], [0, 2, 1]]
