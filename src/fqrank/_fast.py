@@ -8,8 +8,10 @@ update is Field.vec.sub_mul, which on prime fields leaves x - a*b unreduced
 (delayed modular reduction); Field.vec.reduce brings an array back into
 [0, q) where an entry is compared or multiplied.  On extension fields
 sub_mul goes through exp/log tables and reduce is the identity, so the same
-kernel runs on every field.  FqMatrix.rank is the scalar counterpart and
-the independent oracle this kernel is tested against.
+kernel runs on every field.  No mask of used pivot rows is kept: a pivot
+row's own factor is 1, so its own update clears it and it is never chosen
+again.  FqMatrix.rank is the scalar counterpart and the independent oracle
+this kernel is tested against.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ def rank_stack(stack: np.ndarray, q: int) -> np.ndarray:
     f = field_new(q).vec
     m = np.array(stack, dtype=np.int64)
     B, R, C = m.shape
-    free = np.ones((B, R), dtype=bool)  # rows not yet used as a pivot
     rank = np.zeros(B, dtype=np.int64)
     b = np.arange(B)
     # m holds the columns not yet eliminated.  Only the pivot column and the
     # pivot row are reduced; after k updates of x - a*b with a, b in [0, p)
     # every entry satisfies |x| < q + k(p-1)^2, far inside int64 for any
-    # q <= 2^16 and k below 2^31.
+    # q <= 2^16 and k below 2^31.  A pivot row's own factor is 1 <= p-1, so
+    # the update that clears it (to 0 mod p) keeps the bound.
     for _ in range(C):
         if (rank == R).all():
             break
-        col = np.where(free, f.reduce(m[:, :, 0]), 0)
+        col = f.reduce(m[:, :, 0])
         piv = (col != 0).argmax(axis=1)
         pivot = col[b, piv]  # 0 where a matrix has no pivot in this column
         m = m[:, :, 1:]
@@ -43,9 +45,7 @@ def rank_stack(stack: np.ndarray, q: int) -> np.ndarray:
         if not found.any():
             continue
         factor = f.mul(col, f.inv[pivot][:, None])
-        factor[b, piv] = 0
         m = f.sub_mul(m, factor[:, :, None], f.reduce(m[b, piv])[:, None, :])
-        free[b[found], piv[found]] = False
         rank += found
     return rank
 

@@ -163,6 +163,8 @@ def most_likely_positive_path(spec: ChainSpec, x0: int, steps: int
 def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
     """All strictly-positive paths with their exact probabilities (cross-check
     oracle; capped by the caller at modest step counts)."""
+    if x0 < 1:
+        raise InvalidArgument("a strictly positive path needs x0 >= 1")
     _check_steps(steps)
     out: list[tuple[tuple[int, ...], Fraction]] = []
 

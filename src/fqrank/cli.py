@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -78,6 +79,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not math.isfinite(args.alpha):
+        raise InvalidArgument("--alpha must be finite")
     spec = _load_spec(args.spec)
     M = sample(spec, args.seed, args.trial)
     out = {
@@ -92,6 +95,8 @@ def cmd_sample(args) -> int:
 def cmd_mc(args) -> int:
     if args.threshold is not None and not args.ref:
         raise InvalidArgument("--threshold needs --ref: there is no law to compare against")
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise InvalidArgument("--threshold must be finite")
     spec = _load_spec(args.spec)
     result = harness.mc_corank(spec, args.trials, args.seed)
     out = {

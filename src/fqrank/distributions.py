@@ -123,7 +123,13 @@ def _tol_exp(tol: Fraction) -> int:
 def _check_tol(tol) -> Fraction:
     if not (0 < tol <= Fraction(1, 10**6)):  # also rejects a float nan
         raise InvalidArgument("tol must satisfy 0 < tol <= 1e-6")
-    return Fraction(tol).limit_denominator(10**40) if isinstance(tol, float) else Fraction(tol)
+    if not isinstance(tol, float):
+        return Fraction(tol)
+    # a float is rounded to a denominator of at most 10^40, which would take
+    # a smaller tol to 0 or up to 1e-40; an exact Fraction has no such floor
+    if tol < 1e-40:
+        raise InvalidArgument("a float tol must be >= 1e-40; give a smaller one as a Fraction")
+    return Fraction(tol).limit_denominator(10**40)
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,6 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 # Polynomial helpers over F_p, polynomials encoded as base-p integers.
 # ---------------------------------------------------------------------------
 
-def _poly_deg(a: int, p: int) -> int:
-    d = -1
-    while a:
-        a //= p
-        d += 1
-    return d
-
-
 def _poly_coeffs(a: int, p: int) -> list[int]:
     out = []
     while a:
@@ -89,31 +81,22 @@ def _poly_mul(a: int, b: int, p: int) -> int:
     return _poly_from_coeffs(out, p)
 
 
-def _poly_divmod(a: int, b: int, p: int) -> tuple[int, int]:
-    db = _poly_deg(b, p)
-    cb = _poly_coeffs(b, p)
-    lead_inv = pow(cb[-1], p - 2, p) if p > 2 else cb[-1]
-    ca = _poly_coeffs(a, p)
-    quot = [0] * max(len(ca) - db, 0)
-    while len(ca) - 1 >= db and any(ca):
-        da = len(ca) - 1
-        if ca[-1] == 0:
-            ca.pop()
-            continue
-        coef = (ca[-1] * lead_inv) % p
-        quot[da - db] = coef
-        for i in range(db + 1):
-            ca[da - db + i] = (ca[da - db + i] - coef * cb[i]) % p
-        ca.pop()
-    return _poly_from_coeffs(quot, p), _poly_from_coeffs(ca, p)
-
-
 def _poly_mod(a: int, m: int, p: int) -> int:
-    return _poly_divmod(a, m, p)[1]
+    """a mod m for a monic m: each step cancels a's leading coefficient."""
+    cm = _poly_coeffs(m, p)
+    dm = len(cm) - 1
+    ca = _poly_coeffs(a, p)
+    while len(ca) > dm:
+        coef = ca.pop()
+        if coef:
+            off = len(ca) - dm
+            for i in range(dm):
+                ca[off + i] = (ca[off + i] - coef * cm[i]) % p
+    return _poly_from_coeffs(ca, p)
 
 
 def _is_irreducible(m: int, p: int) -> bool:
-    k = _poly_deg(m, p)
+    k = len(_poly_coeffs(m, p)) - 1
     # trial division by all monic polynomials of degree 1..k//2
     for d in range(1, k // 2 + 1):
         for tail in range(p**d):

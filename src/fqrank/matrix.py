@@ -1,11 +1,10 @@
 """Dense matrices over F_q with exact rank / RREF / nullspace services.
 
 Matrices are immutable: entries live in a flat row-major tuple of element
-representatives.  rank, rref, the nullspaces and in_span all run one
-forward elimination, _eliminate, with first-nonzero pivoting; over an exact
-field there is nothing to stabilize.  rank_rows ranks plain row lists
-without building (and range-checking) an FqMatrix, for the enumeration
-oracles.
+representatives.  rank, rref, nullspace and in_span all run one forward
+elimination, _eliminate, with first-nonzero pivoting; over an exact field
+there is nothing to stabilize.  rank_rows ranks plain row lists without
+building (and range-checking) an FqMatrix, for the enumeration oracles.
 """
 
 from __future__ import annotations
@@ -42,14 +41,6 @@ class FqMatrix:
             raise DimensionMismatch("ragged rows")
         return cls(f, r, c, tuple(x for row in rows for x in row))
 
-    @classmethod
-    def identity(cls, f: Field, n: int) -> "FqMatrix":
-        return cls(f, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, f: Field, rows: int, cols: int) -> "FqMatrix":
-        return cls(f, rows, cols, (0,) * (rows * cols))
-
     # -- accessors ------------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
@@ -60,17 +51,6 @@ class FqMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "FqMatrix":
-        return FqMatrix(
-            self.field, self.cols, self.rows,
-            tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def submatrix(self, rows: int, cols: int) -> "FqMatrix":
-        """Top-left rows x cols block."""
-        ent = tuple(self.get(i, j) for i in range(rows) for j in range(cols))
-        return FqMatrix(self.field, rows, cols, ent)
 
     def is_symmetric(self) -> bool:
         return all(
@@ -117,10 +97,6 @@ class FqMatrix:
                 v[pc] = f.neg(red.get(r, fc))
             basis.append(tuple(v))
         return basis
-
-    def left_nullspace(self) -> list[tuple[int, ...]]:
-        """Basis of {w : w^T M = 0}; size = rows - rank."""
-        return self.transpose().nullspace()
 
     def matvec(self, v: tuple[int, ...]) -> tuple[int, ...]:
         f = self.field

@@ -144,9 +144,6 @@ class EntryDist:
         cum = np.append(cum, np.full(steps[0] if steps else 0, D, dtype=np.int64))
         return table, shift, cum, steps
 
-    def draw_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.lookup(rng.integers(0, self.denominator, size=size))
-
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """The values that uniform integers u in [0, denominator) select:
         for each u, the least v with numerators[0] + ... + numerators[v] > u.
@@ -156,9 +153,6 @@ class EntryDist:
         for h in steps:
             v += h * (cum[v + (h - 1)] <= u)
         return v
-
-    def draw_one(self, rng: np.random.Generator) -> int:
-        return int(self.lookup(rng.integers(0, self.denominator)))
 
 
 @lru_cache(maxsize=None)

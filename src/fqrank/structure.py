@@ -50,8 +50,8 @@ def moduli(d: EntryDist) -> tuple[float, ...]:
 
 def threshold_set(d: EntryDist, K: float) -> frozenset[int]:
     """T = {y : |f(y)| >= K * q^(-1/2)}."""
-    if K <= 0:
-        raise InvalidArgument("K must be positive")
+    if not 0 < K < math.inf:  # also rejects nan
+        raise InvalidArgument("K must be positive and finite")
     cut = K / d.q ** 0.5
     return frozenset(y for y, v in enumerate(moduli(d)) if v >= cut)
 
@@ -124,12 +124,20 @@ def rho(a, dists: list[EntryDist], F=(), K: float | None = None) -> StructureRep
 # exact anti-concentration PMFs
 # ---------------------------------------------------------------------------
 
+def _check_fixed(fixed: dict[int, int], dists: list[EntryDist]) -> None:
+    m, q = len(dists), dists[0].q
+    if any(i not in range(m) or v not in range(q) for i, v in fixed.items()):
+        raise InvalidArgument(f"fixed coordinates must lie in [0, {m}) "
+                              f"and their values in [0, {q})")
+
+
 def _joint_law(ws, dists: list[EntryDist], fixed: dict[int, int]
                ) -> dict[tuple[int, ...], Fraction]:
     """Exact joint law of (X.w_1, ..., X.w_d) for vectors w of one length,
     by dynamic programming over the coordinates; coordinates in `fixed` are
     point masses at their fixed values, the rest independent draws from
     dists[i]."""
+    _check_fixed(fixed, dists)
     f = field_new(dists[0].q)
     law = {(0,) * len(ws): Fraction(1)}
     for i, coeffs in enumerate(zip(*ws)):
@@ -204,6 +212,7 @@ def quad_form_pmf(B, linear, dists: list[EntryDist],
     by weighted enumeration of all free coordinates: integer weights over
     each law's own denominator, divided out once at the end."""
     fixed = fixed or {}
+    _check_fixed(fixed, dists)
     m = len(dists)
     q = dists[0].q
     f = field_new(q)

@@ -270,6 +270,23 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
      "InvalidArgument"),
     (None, ["dist", "rect", "--limit", "--q", "3", "--m", "-2"], "InvalidArgument"),
     (None, ["dist", "rect", "--limit", "--q", "3", "--m", "-1"], "InvalidArgument"),
+    # a float tol that rounds to 0, and floats that are not finite
+    (None, ["dist", "alternating", "--q", "3", "--limit", "--parity", "odd",
+            "--tol", "1e-300"], "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 3},
+     ["structure", "SPEC", "--vector", "1,2,2", "--K", "nan"], "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 3},
+     ["structure", "SPEC", "--vector", "1,2,2", "--K", "inf"], "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 2}, ["sample", "SPEC", "--seed", "1", "--alpha", "nan"],
+     "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 2}, ["sample", "SPEC", "--seed", "1", "--alpha", "inf"],
+     "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 3},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1", "--ref", "square", "--threshold", "nan"],
+     "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 3},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1", "--ref", "square", "--threshold", "inf"],
+     "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

@@ -251,7 +251,7 @@ def test_odlyzko_blocks_match_per_trial_replay(monkeypatch):
                     basis = rng.integers(0, q, size=(n, n - d))
                     if _rank(f, basis) == n - d:
                         break
-                x = dist.draw_array(rng, n)
+                x = dist.lookup(rng.integers(0, dist.denominator, size=n))
                 x[:k_bad] = 0
                 hits += _rank(f, np.concatenate([basis, x[:, None]], axis=1)) == n - d
             rep = odlyzko_check(n, d, k_bad, dist, trials, seed, f)

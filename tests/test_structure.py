@@ -52,8 +52,9 @@ def test_threshold_set_contains_zero_and_bounded():
             if K <= q**0.5:  # the cutoff K/sqrt(q) is <= |f(0)| = 1
                 assert 0 in T
             assert len(T) <= float(d.C) * q / K**2 + 1e-9
-    with pytest.raises(ValueError):
-        threshold_set(HALF, 0)
+    for K in (0, float("inf"), float("nan")):
+        with pytest.raises(InvalidArgument):
+            threshold_set(HALF, K)
 
 
 def test_diff_dist():
@@ -252,3 +253,26 @@ def test_decoupling_rhs_against_enumeration():
                 p_zero += weight
         _, rhs, _ = check_decoupling(A, b, dists, I)
         assert rhs == abs(p_zero - Fraction(1, q))
+
+
+# a key outside [0, m) or a value outside [0, q), with m = 2 coordinates
+_BAD_FIXED = [(3, {0: 9}), (3, {0: 3}), (3, {1: -1}), (3, {2: 0}), (3, {-1: 0}),
+              (3, {0: 1, 5: 0}), (4, {0: 7}), (4, {1: 4})]
+
+
+@pytest.mark.parametrize("q, fixed", _BAD_FIXED)
+def test_joint_law_refuses_bad_fixed(q, fixed):
+    dists = [uniform_entry_dist(field_new(q))] * 2
+    with pytest.raises(InvalidArgument):
+        linear_form_pmf([1, 1], dists, fixed)
+    with pytest.raises(InvalidArgument):
+        subspace_prob([(1, 1)], dists, fixed)
+    with pytest.raises(InvalidArgument):
+        check_unconc_implies_uniform([(1, 1)], dists, fixed)
+
+
+@pytest.mark.parametrize("q, fixed", _BAD_FIXED)
+def test_quad_form_pmf_refuses_bad_fixed(q, fixed):
+    dists = [uniform_entry_dist(field_new(q))] * 2
+    with pytest.raises(InvalidArgument):
+        quad_form_pmf([[1, 0], [0, 1]], [0, 0], dists, fixed)
