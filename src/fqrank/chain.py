@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .distributions import CorankPMF, _pmf
 from .errors import EvenCharacteristic, InvalidArgument
@@ -67,22 +68,20 @@ def _check_steps(steps: int) -> None:
         raise InvalidArgument("steps must be >= 0")
 
 
+@lru_cache(maxsize=None)
+def _moves(kind: str, k: int, f: Field) -> tuple[tuple[int, Fraction], ...]:
+    """The (next corank, probability) pairs of one step from corank k, in
+    the order down, stay, up, leaving out the moves of probability 0."""
+    return tuple((k2, p) for k2, p in zip((k - 1, k, k + 1), transition(kind, k, f)) if p)
+
+
 def _step(kind: str, f: Field, dist: dict[int, Fraction],
           absorb_at_zero: bool = False) -> dict[int, Fraction]:
     new: dict[int, Fraction] = {}
     for k, p in dist.items():
-        if not p:
-            continue
-        if absorb_at_zero and k == 0:
-            new[0] = new.get(0, Fraction(0)) + p
-            continue
-        down, stay, up = transition(kind, k, f)
-        if down:
-            new[k - 1] = new.get(k - 1, Fraction(0)) + p * down
-        if stay:
-            new[k] = new.get(k, Fraction(0)) + p * stay
-        if up:
-            new[k + 1] = new.get(k + 1, Fraction(0)) + p * up
+        moves = ((0, Fraction(1)),) if absorb_at_zero and k == 0 else _moves(kind, k, f)
+        for k2, move in moves:
+            new[k2] = new.get(k2, Fraction(0)) + p * move
     return new
 
 
@@ -125,11 +124,10 @@ def path_probability(spec: ChainSpec, path: list[int]) -> Fraction:
     """Exact probability of a given corank path (consecutive transitions)."""
     prob = Fraction(1)
     for k, k2 in zip(path, path[1:]):
-        down, stay, up = transition(spec.kind, k, spec.field)
-        move = {k - 1: down, k: stay, k + 1: up}.get(k2, Fraction(0))
+        move = dict(_moves(spec.kind, k, spec.field)).get(k2)
+        if move is None:
+            return Fraction(0)
         prob *= move
-        if not prob:
-            break
     return prob
 
 
@@ -169,17 +167,13 @@ def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
     out: list[tuple[tuple[int, ...], Fraction]] = []
 
     def rec(path: list[int], prob: Fraction) -> None:
-        if not prob:
-            return
         if len(path) == steps + 1:
             out.append((tuple(path), prob))
             return
-        k = path[-1]
-        down, stay, up = transition(spec.kind, k, spec.field)
-        for k2, p in ((k - 1, down), (k, stay), (k + 1, up)):
-            if p and k2 >= 1:
+        for k2, move in _moves(spec.kind, path[-1], spec.field):
+            if k2 >= 1:
                 path.append(k2)
-                rec(path, prob * p)
+                rec(path, prob * move)
                 path.pop()
 
     rec([x0], Fraction(1))

@@ -42,6 +42,8 @@ class CorankPMF:
         ks = [k for k, _ in self.support]
         if ks != sorted(set(ks)):
             raise InvalidArgument("support coranks must be distinct and sorted")
+        if ks and ks[0] < 0:
+            raise InvalidArgument("coranks must be >= 0")
         if any(m < 0 for _, m in self.support):
             raise InvalidArgument("negative mass")
         total = self.total()
@@ -117,7 +119,16 @@ def _sym_constant(q: int, tol_exp: int) -> Fraction:
 
 def _tol_exp(tol: Fraction) -> int:
     # per-factor cutoff: at least 1e-30, and 20 digits below the support tol
-    return max(30, -math.floor(math.log10(float(tol))) + 20)
+    if float(tol) > 0:
+        return max(30, -math.floor(math.log10(float(tol))) + 20)
+    # below the float range, floor(log10 tol) from the integer logarithms,
+    # which may be one off, so 10^e <= tol < 10^(e+1) is checked exactly
+    e = math.floor(math.log10(tol.numerator) - math.log10(tol.denominator))
+    if tol < Fraction(1, 10**-e):
+        e -= 1
+    elif tol >= Fraction(1, 10**(-e - 1)):
+        e += 1
+    return max(30, -e + 20)
 
 
 def _check_tol(tol) -> Fraction:

@@ -41,7 +41,7 @@ from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
 from .errors import InvalidSpec, NotPrimePower, TooLargeToEnumerate
 from .field import Field, _factor_prime_power, field_new
 from .matrix import FqMatrix, rank_rows
-from .models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
+from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, band_type_f,
                      candidates_per_call, derive_rng, full_rank_stack,
                      near_uniform_dist, ranked_entries, sample_stack,
                      uniform_entry_dist)
@@ -166,62 +166,38 @@ def mc_corank(spec: ModelSpec, trials: int, seed: int,
 # brute-force enumeration oracle
 # ---------------------------------------------------------------------------
 
-def _free_positions(spec: ModelSpec) -> tuple[list[tuple[int, int]], FqMatrix]:
-    """Free entry positions and the base matrix of fixed values."""
-    f = spec.field
-    rows, cols = spec.shape
-    kind = spec.kind
-    fixed = spec.type_f.fixed_entries() if spec.type_f else {}
-    base = [[0] * cols for _ in range(rows)]
-    positions: list[tuple[int, int]] = []
-    if kind in ("iid-square", "iid-rect"):
-        for i in range(rows):
-            for j in range(cols):
-                if (i, j) in fixed:
-                    base[i][j] = fixed[(i, j)]
-                else:
-                    positions.append((i, j))
-    elif kind in ("symmetric", "alternating", "planted-symmetric", "planted-alternating"):
-        alt = "alternating" in kind
-        m0 = spec.planted.rows if kind.startswith("planted") else 0
-        mirrored_fixed = set(fixed) | {(c, r) for r, c in fixed}
-        for i in range(rows):
-            for j in range(i + 1 if alt else i, cols):
-                if i < m0 and j < m0:
-                    continue
-                if (i, j) in mirrored_fixed:
-                    continue
-                positions.append((i, j))
-        for (r, c), v in fixed.items():
-            base[r][c] = v
-            base[c][r] = (f.neg(v) if alt else v)
-        if m0:
-            for i in range(m0):
-                for j in range(m0):
-                    base[i][j] = spec.planted.get(i, j)
-    else:
-        raise InvalidSpec(f"brute force enumeration not defined for kind {kind!r}")
-    return positions, FqMatrix.from_rows(f, base)
-
-
 def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
     """Exact corank PMF by weighted enumeration of all free entries."""
     f = spec.field
-    q = f.q
-    positions, base = _free_positions(spec)
-    e = len(positions)
-    if q**e > 10**7:
-        raise TooLargeToEnumerate(f"q^{e} assignments exceed the guard")
     kind = spec.kind
-    mirror = kind in ("symmetric", "alternating", "planted-symmetric", "planted-alternating")
+    if kind in GL_KINDS:
+        raise InvalidSpec(f"brute force enumeration not defined for kind {kind!r}")
+    mirror = kind not in ("iid-square", "iid-rect")
     alt = "alternating" in kind
+    m0 = spec.planted.rows if kind.startswith("planted") else 0
+    rows, cols = spec.shape
+    # the fixed values, mirrored (negated on alternating kinds), then the corner
+    grid = [0] * (rows * cols)
+    fixed = spec.type_f.fixed_entries() if spec.type_f else {}
+    for (r, c), v in fixed.items():
+        grid[r * cols + c] = v
+        if mirror:
+            grid[c * cols + r] = f.neg(v) if alt else v
+    for i, j in product(range(m0), repeat=2):
+        grid[i * cols + j] = spec.planted.get(i, j)
+    # free: every cell, or the (strict on alternating kinds) upper triangle,
+    # outside the corner and the fixed cells
+    taken = set(fixed) | ({(c, r) for r, c in fixed} if mirror else set())
+    positions = [(i, j) for i in range(rows) for j in range(i + alt if mirror else 0, cols)
+                 if (i, j) not in taken and not (i < m0 and j < m0)]
+    e = len(positions)
+    if f.q**e > 10**7:
+        raise TooLargeToEnumerate(f"q^{e} assignments exceed the guard")
     over = {(min(i, j), max(i, j)) if mirror else (i, j): d for i, j, d in spec.overrides}
     dists = [over.get(pos, spec.default_dist()) for pos in positions]
     # integer weights over each law's own denominator, divided out once at the end
     supports = [[(v, w) for v, w in enumerate(d.numerators) if w] for d in dists]
     scale = math.prod(d.denominator for d in dists)
-    rows, cols = spec.shape
-    grid = list(base.entries)
     masses: dict[int, int] = {}
     for assignment in product(*supports):
         weight = 1

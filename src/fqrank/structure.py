@@ -10,7 +10,8 @@ comparison slack of 1e-12; the slack is always added to the passing side
 of an inequality.  The anti-concentration PMFs themselves (linear forms,
 subspace membership, quadratic forms) are exact rational computations by
 dynamic programming or weighted enumeration, independent of the Fourier
-code they are used to validate.
+code they are used to validate, and the checks built on them compare
+exactly, with no slack.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .matrix import FqMatrix
 from .models import EntryDist
 
 SLACK = 1e-12
-FRACTION_SLACK = Fraction(1, 10**12)
 
 
 def f_abs(d: EntryDist, y: int) -> float:
@@ -188,7 +188,7 @@ def check_unconc_implies_uniform(H_basis: list, dists: list[EntryDist],
                                  fixed: dict[int, int] | None = None
                                  ) -> tuple[Fraction, Fraction, bool]:
     """lhs = |P(X in H) - q^-d|; delta = max over nonzero w in the orthogonal
-    complement of |P(X.w = 0) - 1/q|; pass iff lhs <= 2*delta + slack."""
+    complement of |P(X.w = 0) - 1/q|; pass iff lhs <= 2*delta."""
     q = dists[0].q
     f = field_new(q)
     perp = _perp_basis(H_basis, len(dists), f)
@@ -203,7 +203,7 @@ def check_unconc_implies_uniform(H_basis: list, dists: list[EntryDist],
             p_zero = sum((p for y, p in law.items()
                           if reduce(f.add, map(f.mul, c, y), 0) == 0), Fraction(0))
             delta = max(delta, abs(p_zero - Fraction(1, q)))
-    return lhs, delta, lhs <= 2 * delta + FRACTION_SLACK
+    return lhs, delta, lhs <= 2 * delta
 
 
 def quad_form_pmf(B, linear, dists: list[EntryDist],
@@ -250,4 +250,4 @@ def check_decoupling(A, b, dists: list[EntryDist], I) -> tuple[Fraction, Fractio
              for i in range(m)]
     p_zero = quad_form_pmf(cross, [0] * m, [diff_dist(d) for d in dists])[0]
     rhs = abs(p_zero - Fraction(1, q))
-    return lhs**4, rhs, lhs**4 <= rhs + FRACTION_SLACK
+    return lhs**4, rhs, lhs**4 <= rhs

@@ -73,6 +73,12 @@ def test_path_probability():
     assert path_probability(spec, [2, 0]) == 0  # jumps of 2 impossible
 
 
+def test_path_probability_of_impossible_moves():
+    # the alternating corank never stays, the iid-column codimension never rises
+    assert path_probability(ChainSpec("alternating", F3), [2, 1, 1]) == 0
+    assert path_probability(ChainSpec("iid-column", F3, n=3), [1, 2]) == 0
+
+
 def test_most_likely_path_matches_enumeration():
     for kind, q in (("symmetric", 2), ("symmetric", 3), ("alternating", 3)):
         spec = ChainSpec(kind, field_new(q))

@@ -287,6 +287,10 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
     ({"kind": "iid-square", "q": 3, "n": 3},
      ["mc", "SPEC", "--trials", "10", "--seed", "1", "--ref", "square", "--threshold", "inf"],
      "InvalidArgument"),
+    # negative coranks
+    (None, ["chain", "symmetric", "--q", "2", "--x0", "-1", "--steps", "0"], "InvalidArgument"),
+    (None, ["chain", "iid-column", "--q", "2", "--n", "3", "--x0", "-1", "--steps", "3"],
+     "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"
@@ -298,14 +302,16 @@ def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
 
 
 def test_version_matches_pyproject():
-    import tomllib
+    # read without tomllib, which Python 3.10 lacks
+    import re
     from pathlib import Path
 
     import fqrank
 
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        assert fqrank.__version__ == tomllib.load(fh)["project"]["version"]
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    version = re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
+    assert fqrank.__version__ == version
 
 
 def test_import_loads_neither_numpy_random_nor_scipy():

@@ -78,15 +78,14 @@ def test_mc_corank_concentrates():
     assert abs(res.counts.get(1, 0) / 20000 - 9 / 16) < 4 * sigma
 
 
-def test_mc_corank_matches_brute_force_on_constrained_specs():
-    # the sampler against the independent enumerator where they apply
-    # overrides, fixed entries, mirroring and planted corners separately;
-    # a fixed tolerance of twice the harness noise floor (99% half-widths)
+def _constrained_specs():
+    """Specs that exercise overrides, fixed entries, mirroring and planted
+    corners separately."""
     def point(f, v):
         return EntryDist(tuple(Fraction(int(x == v)) for x in range(f.q)))
 
     F4 = field_new(4)
-    specs = [
+    return [
         # nonzero fixed values on mirrored kinds
         ModelSpec(kind="symmetric", field=F2, n=3,
                   type_f=TypeFSpec(((1,), (), (1,)), ((1,), (), (1,)))),
@@ -111,7 +110,27 @@ def test_mc_corank_matches_brute_force_on_constrained_specs():
                   overrides=((1, 2, point(F3, 1)),),
                   type_f=TypeFSpec(((2,), (), ()), ((1,), (), ()))),
     ]
-    for i, spec in enumerate(specs):
+
+
+def test_brute_force_constrained_specs_pinned():
+    # PMFs captured while the free cells were listed by a separate helper
+    expected = [
+        {0: Fraction(1, 2), 1: Fraction(7, 16), 2: Fraction(1, 16)},
+        {0: Fraction(1, 2), 1: Fraction(3, 8), 2: Fraction(1, 8)},
+        {0: Fraction(39, 64), 1: Fraction(11, 32), 2: Fraction(3, 64)},
+        {0: Fraction(2, 3), 2: Fraction(1, 3)},
+        {0: Fraction(2, 3), 1: Fraction(1, 6), 2: Fraction(1, 6)},
+        {0: Fraction(2, 3), 2: Fraction(1, 3)},
+    ]
+    for spec, pmf in zip(_constrained_specs(), expected, strict=True):
+        assert brute_force_pmf(spec).as_dict() == pmf, spec.kind
+
+
+def test_mc_corank_matches_brute_force_on_constrained_specs():
+    # the sampler against the independent enumerator where they apply
+    # overrides, fixed entries, mirroring and planted corners separately;
+    # a fixed tolerance of twice the harness noise floor (99% half-widths)
+    for i, spec in enumerate(_constrained_specs()):
         res = mc_corank(spec, 4000, seed=40 + i)
         tv, _ = tv_distance(res.empirical, brute_force_pmf(spec))
         assert float(tv) <= 2 * res.noise_floor(), (spec.kind, float(tv), res.noise_floor())
