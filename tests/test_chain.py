@@ -71,9 +71,6 @@ def test_path_probability():
     assert path_probability(spec, [2, 1, 0]) == \
         Fraction(8, 9) * Fraction(2, 3)
     assert path_probability(spec, [2, 0]) == 0  # jumps of 2 impossible
-
-
-def test_path_probability_of_impossible_moves():
     # the alternating corank never stays, the iid-column codimension never rises
     assert path_probability(ChainSpec("alternating", F3), [2, 1, 1]) == 0
     assert path_probability(ChainSpec("iid-column", F3, n=3), [1, 2]) == 0
