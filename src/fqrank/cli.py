@@ -148,6 +148,8 @@ def cmd_chain(args) -> int:
 def cmd_structure(args) -> int:
     from .structure import rho
 
+    if args.M is not None and args.K is None:
+        raise InvalidArgument("--M needs --K: there are no threshold sets to count against")
     spec = _load_spec(args.spec)
     try:
         a = tuple(int(x) for x in args.vector.split(","))

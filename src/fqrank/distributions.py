@@ -1,9 +1,9 @@
 """Corank distributions for uniform matrix ensembles over F_q.
 
-Finite-n laws are closed-form products evaluated in exact rational
-arithmetic.  Limiting laws truncate the infinite q-products with an
-explicit recorded tail bound; the truncated masses are kept as rationals,
-so every comparison made downstream is exact up to the recorded tail.
+Finite-n laws are exact counts of the matrices of each rank.  Limiting laws
+truncate the infinite q-products with a recorded tail bound and keep the
+truncated masses as rationals, so every comparison downstream is exact up to
+that tail.  Each product of (q^i - 1) or (1 - q^-i) is one call of _qprod.
 
 Two corrections to the printed closed forms are applied (and guarded by
 the enumeration oracles in the test suite):
@@ -23,15 +23,15 @@ from .errors import EvenCharacteristic, InvalidArgument
 from .field import Field
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class CorankPMF:
     """A PMF over corank values.
 
-    kind is "exact" (masses sum to exactly 1, tail_bound = 0) or
-    "truncated-limit" (omitted mass is at most tail_bound).
+    kind is "exact" (tail_bound = 0) or "truncated-limit" (the masses are
+    lower bounds, and tail_bound bounds the mass they leave out); either way
+    the masses and tail_bound sum to exactly 1.
     """
 
     support: tuple[tuple[int, Fraction], ...]
@@ -39,6 +39,8 @@ class CorankPMF:
     tail_bound: Fraction = ZERO
 
     def __post_init__(self):
+        if self.kind not in ("exact", "truncated-limit"):
+            raise InvalidArgument(f"unknown PMF kind {self.kind!r}")
         ks = [k for k, _ in self.support]
         if ks != sorted(set(ks)):
             raise InvalidArgument("support coranks must be distinct and sorted")
@@ -46,20 +48,16 @@ class CorankPMF:
             raise InvalidArgument("coranks must be >= 0")
         if any(m < 0 for _, m in self.support):
             raise InvalidArgument("negative mass")
-        total = self.total()
-        if self.kind == "exact" and (total != 1 or self.tail_bound != 0):
-            raise InvalidArgument("exact masses must sum to exactly 1 with no tail")
-        if total > 1 or total + self.tail_bound < 1 - Fraction(1, 10**12):
-            raise InvalidArgument("masses + tail_bound inconsistent with 1")
+        if self.kind == "exact" and self.tail_bound != 0:
+            raise InvalidArgument("an exact law carries no tail")
+        if self.tail_bound < 0 or self.total() + self.tail_bound != 1:
+            raise InvalidArgument("masses + tail_bound must sum to exactly 1")
 
     def total(self) -> Fraction:
         return sum((m for _, m in self.support), ZERO)
 
     def mass(self, k: int) -> Fraction:
-        for kk, m in self.support:
-            if kk == k:
-                return m
-        return ZERO
+        return self.as_dict().get(k, ZERO)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.support)
@@ -76,8 +74,7 @@ class CorankPMF:
 
     @staticmethod
     def from_counts(counts: dict[int, int], trials: int) -> "CorankPMF":
-        support = tuple(sorted((k, Fraction(c, trials)) for k, c in counts.items() if c))
-        return CorankPMF(support=support, kind="exact", tail_bound=ZERO)
+        return _pmf({k: Fraction(c, trials) for k, c in counts.items()})
 
 
 def _pmf(masses: dict[int, Fraction], kind: str = "exact",
@@ -90,31 +87,27 @@ def _pmf(masses: dict[int, Fraction], kind: str = "exact",
 # q-product helpers
 # ---------------------------------------------------------------------------
 
-def _prod_one_minus_qinv(q: int, lo: int, hi: int) -> Fraction:
-    """prod_{i=lo}^{hi} (1 - q^-i)."""
-    out = ONE
-    for i in range(lo, hi + 1):
-        out *= 1 - Fraction(1, q**i)
-    return out
+def _qprod(q: int, lo: int, hi: int, step: int = 1) -> tuple[int, int]:
+    """(prod (q^i - 1), prod q^i) over i = lo, lo + step, ... <= hi, so that
+    prod (1 - q^-i) is the first over the second."""
+    idx = range(lo, hi + 1, step)
+    return math.prod(q**i - 1 for i in idx), q ** sum(idx)
 
 
 @lru_cache(maxsize=None)
 def _tail_product(q: int, lo: int, tol_exp: int) -> Fraction:
     """Truncation of prod_{i=lo}^inf (1 - q^-i): factors cut once q^-i < 10^-tol_exp."""
     hi = max(lo, math.ceil(tol_exp / math.log10(q)) + 1)
-    return _prod_one_minus_qinv(q, lo, hi)
+    return Fraction(*_qprod(q, lo, hi))
 
 
 @lru_cache(maxsize=None)
 def _sym_constant(q: int, tol_exp: int) -> Fraction:
-    """Truncation of prod_{i=0}^inf (1 - q^-(2i+1))."""
-    out = ONE
-    i = 0
-    while q ** (2 * i + 1) < 10**tol_exp:
-        out *= 1 - Fraction(1, q ** (2 * i + 1))
-        i += 1
-    out *= 1 - Fraction(1, q ** (2 * i + 1))
-    return out
+    """Truncation of prod_{i odd} (1 - q^-i), up to the first odd i with q^i >= 10^tol_exp."""
+    hi = 1
+    while q**hi < 10**tol_exp:
+        hi += 2
+    return Fraction(*_qprod(q, 1, hi, 2))
 
 
 def _tol_exp(tol: Fraction) -> int:
@@ -153,50 +146,46 @@ def uniform_square_pmf(n: int, f: Field) -> CorankPMF:
 
 
 def uniform_rect_pmf(n: int, m: int, f: Field) -> CorankPMF:
-    """Exact corank law of a uniform n x (n+m) matrix (corank = n - rank)."""
+    """Exact corank law of a uniform n x (n+m) matrix (corank = n - rank):
+    prod_{i<r} (q^n - q^i)(q^(n+m) - q^i) / (q^r - q^i) matrices have rank r."""
     if n < 1 or m < 0:
         raise InvalidArgument("need n >= 1, m >= 0")
     q = f.q
     masses = {}
     for k in range(n + 1):
-        num = _prod_one_minus_qinv(q, 1, n + m) * _prod_one_minus_qinv(q, k + 1, n)
-        den = _prod_one_minus_qinv(q, 1, n - k) * _prod_one_minus_qinv(q, 1, m + k)
-        masses[k] = Fraction(1, q ** (k * (m + k))) * num / den
+        r = n - k
+        count = (q ** (r * (r - 1) // 2) * _qprod(q, k + 1, n)[0]
+                 * _qprod(q, m + k + 1, n + m)[0] // _qprod(q, 1, r)[0])
+        masses[k] = Fraction(count, q ** (n * (n + m)))
+    return _pmf(masses)
+
+
+def _mirrored_pmf(n: int, f: Field, alt: bool) -> CorankPMF:
+    """MacWilliams' law of a uniform symmetric (alt False) or alternating matrix:
+    mass(k) = prod_{i<n-k} (q^(n-i) - 1) prod_{i=1}^{(n-k)//2} q^(2i) / (q^(2i) - 1)
+    / q^(n(n+1)/2); alternating has q^(2i-2), q^(n(n-1)/2) and k = n mod 2 there."""
+    if n < 1:
+        raise InvalidArgument("need n >= 1")
+    if alt and f.q % 2 == 0:
+        raise EvenCharacteristic("alternating model requires odd q")
+    q, a = f.q, int(alt)
+    masses = {}
+    for k in range(n % 2 if alt else 0, n + 1, 2 if alt else 1):
+        j = (n - k) // 2
+        den, qpow = _qprod(q, 2, 2 * j, 2)
+        masses[k] = Fraction(_qprod(q, k + 1, n)[0] * qpow,
+                             den * q ** (n * (n + 1) // 2 + a * (2 * j - n)))
     return _pmf(masses)
 
 
 def uniform_sym_pmf(n: int, f: Field) -> CorankPMF:
     """Exact corank law of a uniform symmetric n x n matrix."""
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
-    q = f.q
-    masses = {}
-    for k in range(n + 1):
-        prod = ONE
-        for i in range(1, (n - k) // 2 + 1):
-            prod *= Fraction(q ** (2 * i), q ** (2 * i) - 1)
-        for i in range(n - k):
-            prod *= q ** (n - i) - 1
-        masses[k] = Fraction(1, q ** (n * (n + 1) // 2)) * prod
-    return _pmf(masses)
+    return _mirrored_pmf(n, f, alt=False)
 
 
 def uniform_alt_pmf(n: int, f: Field) -> CorankPMF:
     """Exact corank law of a uniform alternating n x n matrix (q odd)."""
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
-    if f.q % 2 == 0:
-        raise EvenCharacteristic("alternating model requires odd q")
-    q = f.q
-    masses = {}
-    for k in range(n % 2, n + 1, 2):
-        prod = ONE
-        for i in range(1, (n - k) // 2 + 1):
-            prod *= Fraction(q ** (2 * i - 2), q ** (2 * i) - 1)
-        for i in range(n - k):
-            prod *= q ** (n - i) - 1
-        masses[k] = Fraction(1, q ** (n * (n - 1) // 2)) * prod
-    return _pmf(masses)
+    return _mirrored_pmf(n, f, alt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +221,24 @@ def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
 
 
 def limit_rect_pmf(m: int, f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
-    """Truncated law of Q_{m,inf} for n x (n+m) uniform matrices."""
+    """Truncated law of Q_{m,inf} for n x (n+m) uniform matrices:
+    q^(-k(m+k)) prod_{i>k} (1 - q^-i) / prod_{i=1}^{m+k} (1 - q^-i)."""
     if m < 0:
         raise InvalidArgument("need m >= 0")
     q = f.q
     return _truncated_limit(f, tol, 0, 1, lambda k, te: (
-        Fraction(1, q ** (k * (m + k))) * _tail_product(q, k + 1, te)
-        / _prod_one_minus_qinv(q, 1, m + k)))
+        _tail_product(q, k + 1, te) / Fraction(*_qprod(q, 1, m + k)) / q ** (k * (m + k))))
+
+
+def _mirrored_mass(q: int, alt: bool):
+    """mass(k, te) of the symmetric (alt False) or alternating limit law:
+    prod_{i odd} (1 - q^-i) / prod_{i=1}^k (q^i - 1), times q^k if alternating."""
+    return lambda k, te: _sym_constant(q, te) * (q**k if alt else 1) / _qprod(q, 1, k)[0]
 
 
 def limit_sym_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     """Truncated law of Q_{sym,inf} for symmetric uniform matrices."""
-    q = f.q
-    return _truncated_limit(f, tol, 0, 1, lambda k, te: (
-        _sym_constant(q, te) / math.prod(q**i - 1 for i in range(1, k + 1))))
+    return _truncated_limit(f, tol, 0, 1, _mirrored_mass(f.q, alt=False))
 
 
 def limit_alt_pmf(f: Field, parity: str, tol=Fraction(1, 10**12)) -> CorankPMF:
@@ -254,9 +247,8 @@ def limit_alt_pmf(f: Field, parity: str, tol=Fraction(1, 10**12)) -> CorankPMF:
         raise EvenCharacteristic("alternating model requires odd q")
     if parity not in ("even", "odd"):
         raise InvalidArgument("parity must be 'even' or 'odd'")
-    q = f.q
-    return _truncated_limit(f, tol, 0 if parity == "even" else 1, 2, lambda k, te: (
-        _sym_constant(q, te) * q**k / math.prod(q**i - 1 for i in range(1, k + 1))))
+    first = 0 if parity == "even" else 1
+    return _truncated_limit(f, tol, first, 2, _mirrored_mass(f.q, alt=True))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +275,8 @@ def uniform_pmf(kind: str, n: int, f: Field, m: int = 0) -> CorankPMF:
     if kind in ("gl-minus-identity", "gl-corner"):
         raise InvalidArgument(f"no finite-n corank law for kind {kind!r}")
     kind = _law_kind(kind)
-    if kind == "symmetric":
-        return uniform_sym_pmf(n, f)
-    if kind == "alternating":
-        return uniform_alt_pmf(n, f)
+    if kind in ("symmetric", "alternating"):
+        return _mirrored_pmf(n, f, alt=kind == "alternating")
     return uniform_rect_pmf(n, m if kind == "rect" else 0, f)
 
 

@@ -38,7 +38,7 @@ from ._fast import rank_stack
 from .chain import (ChainSpec, delta_pmf, enumerate_positive_paths, evolve,
                     hit_zero_prob, most_likely_positive_path, planted_pmf)
 from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
-from .errors import InvalidSpec, NotPrimePower, TooLargeToEnumerate
+from .errors import InvalidArgument, InvalidSpec, NotPrimePower, TooLargeToEnumerate
 from .field import Field, _factor_prime_power, field_new
 from .matrix import FqMatrix, rank_rows
 from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, band_type_f,
@@ -134,11 +134,13 @@ def _count_chunk(spec: ModelSpec, seed: int, start: int, stop: int) -> Counter:
 
 
 def worker_count() -> int:
-    raw = os.environ.get("FQRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """FQRANK_THREADS as a positive integer; unset means serial."""
+    raw = os.environ.get("FQRANK_THREADS")
+    if raw is None:
         return 1
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise InvalidArgument(f"FQRANK_THREADS must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 def mc_corank(spec: ModelSpec, trials: int, seed: int,
@@ -287,12 +289,14 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
     independent enumeration routes and require exact agreement.
 
     Route one enumerates the q^(n(n-1)/2) off-diagonal assignments through the
-    fixed-entry (type-F diagonal) machinery; route two enumerates all
-    q^(n(n+1)/2) symmetric matrices and filters on a zero diagonal.  The
-    full-rank count of size n-1 symmetric matrices is reported alongside: it
-    coincides with the zero-diagonal count exactly when n is even."""
+    fixed-entry (type-F diagonal) machinery; route two writes the same
+    assignments straight into a symmetric grid with a zero diagonal.  The
+    full-rank count of size n-1 symmetric matrices, over its q^(n(n-1)/2)
+    upper triangles, is reported alongside: it coincides with the
+    zero-diagonal count exactly when n is even.  One guard covers all three
+    enumerations."""
     q = f.q
-    if q ** (n * (n - 1) // 2) > 10**7 or q ** (n * (n + 1) // 2) > 10**8:
+    if q ** (n * (n - 1) // 2) > 10**7:
         raise TooLargeToEnumerate("enumeration guard exceeded")
 
     def count_symmetric(size: int, zero_diag: bool) -> int:
@@ -313,7 +317,7 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
     spec = ModelSpec(kind="symmetric", field=f, n=n, type_f=diag_zeros)
     pmf = brute_force_pmf(spec)
     via_type_f = pmf.mass(0) * q ** (n * (n - 1) // 2)
-    # route two: filter the full symmetric enumeration on a zero diagonal
+    # route two: the same assignments written straight into a zero-diagonal grid
     direct = count_symmetric(n, zero_diag=True)
     smaller = count_symmetric(n - 1, zero_diag=False)
     passed = via_type_f == direct

@@ -81,6 +81,8 @@ class StructureReport:
         have t*a_i outside T_i."""
         if self.T_sets is None:
             raise InvalidArgument("report built without K; no threshold sets")
+        if M < 0:
+            raise InvalidArgument("M must be >= 0")
         f = field_new(self.q)
         for t in range(1, self.q):
             good = sum(

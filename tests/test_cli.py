@@ -291,6 +291,11 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
     (None, ["chain", "symmetric", "--q", "2", "--x0", "-1", "--steps", "0"], "InvalidArgument"),
     (None, ["chain", "iid-column", "--q", "2", "--n", "3", "--x0", "-1", "--steps", "3"],
      "InvalidArgument"),
+    # --M without the threshold sets --K builds, and a negative --M
+    ({"kind": "iid-square", "q": 3, "n": 3},
+     ["structure", "SPEC", "--vector", "1,1,1", "--M", "2"], "InvalidArgument"),
+    ({"kind": "iid-square", "q": 3, "n": 3},
+     ["structure", "SPEC", "--vector", "1,1,1", "--K", "1.0", "--M", "-1"], "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"
@@ -299,6 +304,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     code = main([str(path) if a == "SPEC" else a for a in argv])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "iid-square", "q": 3, "n": 2}))
+    monkeypatch.setenv("FQRANK_THREADS", "abc")
+    assert main(["mc", str(path), "--trials", "10", "--seed", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
 
 
 def test_version_matches_pyproject():

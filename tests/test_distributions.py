@@ -31,6 +31,10 @@ def test_pmf_invariants():
         CorankPMF(support=((0, Fraction(1)),), tail_bound=Fraction(1, 10**13))
     with pytest.raises(InvalidArgument):  # coranks are >= 0
         CorankPMF(support=((-1, Fraction(1)),))
+    with pytest.raises(InvalidArgument):  # a truncated law balances exactly too
+        CorankPMF(support=((0, 1 - Fraction(1, 10**13)),), kind="truncated-limit")
+    with pytest.raises(InvalidArgument):  # no kind but the two
+        CorankPMF(support=((0, Fraction(1)),), kind="approximate")
 
 
 def test_pmf_accessors_and_json():
@@ -68,6 +72,39 @@ def test_sym_small_values():
 def test_alt_small_values():
     assert uniform_alt_pmf(2, F3).as_dict() == {0: Fraction(2, 3), 2: Fraction(1, 3)}
     assert uniform_alt_pmf(1, F3).as_dict() == {1: Fraction(1)}
+
+
+def _gaussian_binomial(n, d, q):
+    if d > n:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_finite_laws_match_subspace_moments():
+    # E [corank choose d]_q counts the d-dim subspaces of the kernel (left
+    # kernel for rect): [n choose d]_q q^-c(d), with c(d) the linear
+    # conditions such a subspace puts on the entries.  Triangular in d, so
+    # the moments d = 0..n fix every mass (Wood's moment method).
+    for q in (2, 3, 4, 5, 7, 9):
+        f = field_new(q)
+        for n in range(1, 21):
+            laws = [(uniform_rect_pmf(n, m, f), lambda d, m=m: d * (n + m))
+                    for m in range(3)]
+            laws.append((uniform_sym_pmf(n, f), lambda d: n * d - d * (d - 1) // 2))
+            if q % 2:
+                laws.append((uniform_alt_pmf(n, f), lambda d: n * d - d * (d + 1) // 2))
+            for pmf, c in laws:
+                # in integers: the masses over their common denominator den
+                den = math.lcm(*(m.denominator for _, m in pmf.support))
+                nums = [(k, m.numerator * (den // m.denominator)) for k, m in pmf.support]
+                for d in range(n + 1):
+                    moment = sum(x * _gaussian_binomial(k, d, q) for k, x in nums)
+                    assert moment * q ** c(d) == _gaussian_binomial(n, d, q) * den, \
+                        (q, n, d, pmf)
 
 
 def test_alt_even_characteristic_rejected():

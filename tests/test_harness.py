@@ -7,7 +7,7 @@ import pytest
 
 from fqrank import harness
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
-from fqrank.errors import TooLargeToEnumerate
+from fqrank.errors import InvalidArgument, TooLargeToEnumerate
 from fqrank.field import field_new
 from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
                             chain_consistency_check, decoupling_suite, fg_sandwich_check,
@@ -284,6 +284,28 @@ def test_zero_diag_counts():
     rep = zero_diag_count_check(3, F3)
     assert rep.passed
     assert rep.computed["direct"] == 8
+
+
+def test_zero_diag_guard_counts_off_diagonal_assignments():
+    # q^(n(n-1)/2) assignments: 467 and 23^3; q^(n(n+1)/2) would exceed 10^8
+    assert zero_diag_count_check(2, field_new(467)).passed
+    assert zero_diag_count_check(3, field_new(23)).passed
+    with pytest.raises(TooLargeToEnumerate):
+        zero_diag_count_check(3, field_new(223))
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "0", "-3"])
+def test_worker_count_refuses_bad_thread_counts(monkeypatch, raw):
+    monkeypatch.setenv("FQRANK_THREADS", raw)
+    with pytest.raises(InvalidArgument):
+        harness.worker_count()
+
+
+def test_worker_count_reads_thread_count(monkeypatch):
+    monkeypatch.delenv("FQRANK_THREADS", raising=False)
+    assert harness.worker_count() == 1
+    monkeypatch.setenv("FQRANK_THREADS", "3")
+    assert harness.worker_count() == 3
 
 
 def test_submatrix_fullrank():
