@@ -85,10 +85,10 @@ def _gaussian_binomial(n, d, q):
 
 
 def test_finite_laws_match_subspace_moments():
-    # E [corank choose d]_q counts the d-dim subspaces of the kernel (left
-    # kernel for rect): [n choose d]_q q^-c(d), with c(d) the linear
-    # conditions such a subspace puts on the entries.  Triangular in d, so
-    # the moments d = 0..n fix every mass (Wood's moment method).
+    # E [corank choose d]_q, the expected number of d-dim subspaces of the
+    # kernel (left kernel for rect), is [n choose d]_q q^-c(d), with c(d) the
+    # linear conditions such a subspace puts on the entries.  Triangular in
+    # d, so the moments d = 0..n fix every mass (Wood's moment method).
     for q in (2, 3, 4, 5, 7, 9):
         f = field_new(q)
         for n in range(1, 21):
