@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .distributions import LAW_KINDS, CorankPMF, limit_pmf, uniform_pmf
+from .distributions import LAW_KINDS, CorankPMF, int_str, limit_pmf, uniform_pmf
 from .errors import FqRankError, InvalidArgument
 from .field import field_new
 from .matrix import dumps_matrix
@@ -41,7 +41,13 @@ def _write_csv(path: str, pmf: CorankPMF) -> None:
         w = csv.writer(fh)
         w.writerow(["corank", "mass_num", "mass_den"])
         for k, mass in pmf.support:
-            w.writerow([k, mass.numerator, mass.denominator])
+            w.writerow([k, int_str(mass.numerator), int_str(mass.denominator)])
+
+
+def _fraction_str(x: Fraction) -> str:
+    """str(x) at any length (see int_str)."""
+    num = int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
 def _emit(obj) -> None:
@@ -62,6 +68,12 @@ def _load_spec(path: str) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_dist(args) -> int:
+    if args.m != 0 and args.kind != "rect":
+        raise InvalidArgument("--m is read only by rect")
+    if args.limit and args.n is not None:
+        raise InvalidArgument("--limit takes no --n: a limit law has no size")
+    if args.tol is not None and not args.limit:
+        raise InvalidArgument("--tol is read only with --limit")
     f = field_new(args.q)
     tol = Fraction(1, 10**30) if args.tol is None else args.tol
     if args.limit:
@@ -124,22 +136,25 @@ def cmd_mc(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    if args.n is not None and args.kind != "iid-column":
+        raise InvalidArgument("--n is read only by iid-column")
+    if args.csv and (args.hit_zero or args.path):
+        raise InvalidArgument("--csv writes a PMF, which --hit-zero and --path do not give")
     f = field_new(args.q)
-    n = args.n if args.kind == "iid-column" else None
-    spec = chain_mod.ChainSpec(args.kind, f, n=n)
+    spec = chain_mod.ChainSpec(args.kind, f, n=args.n)
     if args.hit_zero:
         prob = chain_mod.hit_zero_prob(spec, args.x0, args.steps)
-        _emit({"hit_zero_prob": str(prob), "hit_zero_prob_float": float(prob)})
+        _emit({"hit_zero_prob": _fraction_str(prob), "hit_zero_prob_float": float(prob)})
     elif args.path:
         path, prob = chain_mod.most_likely_positive_path(spec, args.x0, args.steps)
-        _emit({"path": list(path), "probability": str(prob),
+        _emit({"path": list(path), "probability": _fraction_str(prob),
                "probability_float": float(prob)})
     else:
         # --planted reads x0 as a fixed corner's corank; the law is the same
         pmf = chain_mod.evolve(spec, chain_mod.delta_pmf(args.x0), args.steps)
         if args.csv:
             _write_csv(args.csv, pmf)
-        params = {"kind": args.kind, "n": n, "x0": args.x0, "steps": args.steps,
+        params = {"kind": args.kind, "n": args.n, "x0": args.x0, "steps": args.steps,
                   "planted": args.planted}
         _emit(json.loads(pmf.to_json(f.q, params)))
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +24,16 @@ from .errors import EvenCharacteristic, InvalidArgument
 from .field import Field
 
 ZERO = Fraction(0)
+
+
+def int_str(n: int) -> str:
+    """str(n) at any length: str() refuses an int of over 4,300 digits, a
+    guard against slow parsing that the masses of a small-tol limit law pass."""
+    return str(Decimal(n))
+
+
+def _ratio_str(x: Fraction) -> str:
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -67,8 +78,8 @@ class CorankPMF:
             "kind": self.kind,
             "q": q,
             "params": params or {},
-            "support": [[k, f"{m.numerator}/{m.denominator}"] for k, m in self.support],
-            "tail_bound": f"{self.tail_bound.numerator}/{self.tail_bound.denominator}",
+            "support": [[k, _ratio_str(m)] for k, m in self.support],
+            "tail_bound": _ratio_str(self.tail_bound),
         }
         return json.dumps(obj)
 

@@ -7,8 +7,9 @@ extension fields multiplication goes through log/antilog tables built once
 at construction over a fixed multiplicative generator, addition is XOR when
 p = 2 and goes through Zech logarithms when p is odd.
 
-Field.vec carries the same arithmetic over numpy arrays of elements; it is
-the only place where prime and extension fields take different code.
+Field.vec carries the same arithmetic over numpy arrays of elements, from
+the same tables; it is the only place where prime and extension fields
+take different code.
 
 The reducing modulus is the lexicographically least monic irreducible
 polynomial of degree k over F_p (compared as coefficient tuples from the
@@ -167,20 +168,25 @@ class Field:
                 if j < len(row) and row[j]:
                     acc += x // p**i % p * row[j]
             times_g += acc % p * p**j
-        step = times_g.tolist()
-        del x, times_g, acc
-        self._exp = exp = [0] * (2 * (q - 1))
-        self._log = log = [0] * q
-        e = 1
-        for i in range(q - 1):
-            exp[i] = exp[i + q - 1] = e
-            log[e] = i
-            e = step[e]
+        del x, acc
+        # exp_arr[i] = g^i by doubling: each round maps the powers found so
+        # far by x -> g^len * x, then squares that map
+        exp_arr = np.ones(1, dtype=np.int64)
+        while len(exp_arr) < q - 1:
+            exp_arr = np.concatenate([exp_arr, times_g[exp_arr]])
+            times_g = times_g[times_g]
+        exp_arr = exp_arr[:q - 1]
+        # the zero-marked layout that add(), mul() and Field.vec read: log[0] =
+        # Z = 2(q-1) and exp is zero from index Z on, so a product with a zero
+        # factor lands on 0; zech, built from log, is Z where 1 + g^n = 0
+        zero = 2 * (q - 1)
+        self._exp = exp_arr.tolist() * 2 + [0] * (zero + 1)
+        log_arr = np.full(q, zero, dtype=np.int64)
+        log_arr[exp_arr] = np.arange(q - 1)
+        self._log = log_arr.tolist()
         if p != 2:
             # -1 = g^((q-1)/2); Zech logarithm zech[n] = log(1 + g^n), where
             # adding 1 only changes the constant digit
-            exp_arr = np.array(exp[:q - 1], dtype=np.int64)
-            log_arr = np.array(log, dtype=np.int64)
             neg_arr = np.zeros(q, dtype=np.int64)
             neg_arr[exp_arr] = np.roll(exp_arr, -((q - 1) // 2))
             self._neg = neg_arr.tolist()
@@ -202,10 +208,8 @@ class Field:
             return a ^ b
         if a == 0 or b == 0:
             return a or b
-        la, n = self._log[a], (self._log[b] - self._log[a]) % (self.q - 1)
-        if 2 * n == self.q - 1:  # g^n = -1, so b = -a
-            return 0
-        return self._exp[la + self._zech[n]]
+        la = self._log[a]
+        return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
@@ -218,8 +222,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -313,25 +315,18 @@ class PrimeArrays:
 class TableArrays:
     """Arithmetic on F_{p^k}, k > 1, through exp/log tables: a*b is
     exp[log a + log b], and a + b is a * (1 + b/a) through the Zech logarithm.
-
-    log[0] is 2(q-1), zech marks 1 + g^n = 0 with 2(q-1), and exp is zero
-    from index 2(q-1) on, so a product with a zero factor and a sum a + (-a)
-    land on 0 without a branch; add() still selects zero summands."""
+    The field's zero-marked tables make a product with a zero factor and a
+    sum a + (-a) land on 0 without a branch; add() still selects zero summands."""
 
     def __init__(self, f: Field):
-        q = f.q
-        zero = 2 * (q - 1)
-        self.period = q - 1
+        self.period = f.q - 1
         self.log = np.array(f._log, dtype=np.int64)
-        self.log[0] = zero
-        self.exp = np.zeros(2 * zero + 1, dtype=np.int64)
-        self.exp[:zero] = f._exp
-        self.inv = self.exp[(-self.log) % (q - 1)]
+        self.exp = np.array(f._exp, dtype=np.int64)
+        self.inv = self.exp[(-self.log) % self.period]
         self.inv[0] = 0
         if f.p != 2:
             self.neg = np.array(f._neg, dtype=np.int64)
             self.zech = np.array(f._zech, dtype=np.int64)
-            self.zech[(q - 1) // 2] = zero  # 1 + g^((q-1)/2) = 0
 
     def mul(self, a: np.ndarray, b) -> np.ndarray:
         return self.exp[self.log[a] + self.log[b]]

@@ -53,10 +53,10 @@ class FqMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_symmetric(self) -> bool:
-        return all(
+        return self.rows == self.cols and all(
             self.get(i, j) == self.get(j, i)
             for i in range(self.rows) for j in range(i + 1, self.cols)
-        ) and self.rows == self.cols
+        )
 
     def is_alternating(self) -> bool:
         f = self.field

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,23 @@ def test_dist_alternating_parity(capsys):
     assert obj["q"] == 3
     assert obj["params"] == {"kind": "alternating", "n": None, "m": 0, "parity": "odd",
                              "limit": True, "tol": 1e-20}
+
+
+def test_dist_prints_masses_of_any_length(tmp_path, capsys):
+    # at this tol the q=2 masses pass the 4,300 digits that str() of an int allows
+    csv_path = tmp_path / "pmf.csv"
+    code, obj = run(capsys, "dist", "square", "--q", "2", "--limit", "--tol", "1e-31",
+                    "--csv", str(csv_path))
+    assert code == 0
+
+    def exact(num, den):
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
+
+    masses = [exact(*m.split("/")) for _, m in obj["support"]]
+    assert max(len(m) for _, m in obj["support"]) > 4300
+    assert sum(masses) + exact(*obj["tail_bound"].split("/")) == 1
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    assert [exact(*r.split(",")[1:]) for r in rows] == masses
 
 
 def test_sample_subcommand(tmp_path, capsys):
@@ -296,6 +314,13 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
      ["structure", "SPEC", "--vector", "1,1,1", "--M", "2"], "InvalidArgument"),
     ({"kind": "iid-square", "q": 3, "n": 3},
      ["structure", "SPEC", "--vector", "1,1,1", "--K", "1.0", "--M", "-1"], "InvalidArgument"),
+    # options that the subcommand would ignore
+    (None, ["chain", "symmetric", "--q", "2", "--steps", "2", "--n", "5"], "InvalidArgument"),
+    (None, ["dist", "square", "--q", "2", "--n", "2", "--m", "3"], "InvalidArgument"),
+    (None, ["dist", "square", "--q", "2", "--n", "2", "--tol", "1e-20"], "InvalidArgument"),
+    (None, ["dist", "square", "--q", "2", "--limit", "--n", "5"], "InvalidArgument"),
+    (None, ["chain", "symmetric", "--q", "2", "--x0", "1", "--steps", "3", "--hit-zero",
+            "--csv", "out.csv"], "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

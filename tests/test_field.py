@@ -2,6 +2,7 @@ import cmath
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from fqrank.errors import NotPrimePower, TooLarge
@@ -86,6 +87,29 @@ def test_tables_match_polynomial_arithmetic():
             assert f.add(a, b) == sum((x + y) % f.p * f.p**i
                                       for i, (x, y) in enumerate(zip(da, db)))
             assert f.neg(a) == minus_a
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 6561, 1 << 16])
+def test_scalar_methods_match_field_vec(q):
+    # every pair on the small fields; on the large ones random pairs plus
+    # pairs with a zero and pairs b = -a
+    f = field_new(q)
+    if q < 100:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rnd = random.Random(q)
+        pairs = []
+        for _ in range(1000):
+            a, b = rnd.randrange(q), rnd.randrange(q)
+            pairs += [(a, b), (0, b), (a, 0), (a, f.neg(a))]
+    a, b = (np.array(x) for x in zip(*pairs))
+    c = np.roll(b, 1)
+    v = f.vec
+    assert v.mul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+    assert v.sub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
+    assert v.reduce(v.sub_mul(c, a, b)).tolist() == \
+        [f.sub(z, f.mul(x, y)) for z, (x, y) in zip(c.tolist(), pairs)]
+    assert v.inv[1:].tolist() == [f.inv(x) for x in range(1, q)]
 
 
 def test_zero_inverse_raises():

@@ -133,6 +133,9 @@ def test_symmetry_predicates():
     A = FqMatrix.from_rows(F3, [[0, 1], [2, 0]])
     assert A.is_alternating() and not A.is_symmetric()
     assert not FqMatrix.from_rows(F3, [[1, 1], [2, 0]]).is_alternating()
+    for rows in ([[1, 2, 0], [2, 0, 1]], [[1, 2], [2, 0], [0, 1]]):  # 2x3 and 3x2
+        M = FqMatrix.from_rows(F3, rows)
+        assert not M.is_symmetric() and not M.is_alternating()
 
 
 def test_text_roundtrip():
