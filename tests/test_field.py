@@ -105,6 +105,7 @@ def test_scalar_methods_match_field_vec(q):
     a, b = (np.array(x) for x in zip(*pairs))
     c = np.roll(b, 1)
     v = f.vec
+    assert v.add(a, b).tolist() == [f.add(x, y) for x, y in pairs]
     assert v.mul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
     assert v.sub(a, b).tolist() == [f.sub(x, y) for x, y in pairs]
     assert v.reduce(v.sub_mul(c, a, b)).tolist() == \
