@@ -74,17 +74,20 @@ def cmd_dist(args) -> int:
         raise InvalidArgument("--limit takes no --n: a limit law has no size")
     if args.tol is not None and not args.limit:
         raise InvalidArgument("--tol is read only with --limit")
+    if args.parity is not None and not (args.limit and args.kind == "alternating"):
+        raise InvalidArgument("--parity is read only by the alternating limit law")
+    parity = args.parity or "even"
     f = field_new(args.q)
     tol = Fraction(1, 10**30) if args.tol is None else args.tol
     if args.limit:
-        pmf = limit_pmf(args.kind, f, args.m, args.parity, tol)
+        pmf = limit_pmf(args.kind, f, args.m, parity, tol)
     elif args.n is None:
-        raise FqRankError("--n is required without --limit")
+        raise InvalidArgument("--n is required without --limit")
     else:
         pmf = uniform_pmf(args.kind, args.n, f, args.m)
     if args.csv:
         _write_csv(args.csv, pmf)
-    params = {"kind": args.kind, "n": args.n, "m": args.m, "parity": args.parity,
+    params = {"kind": args.kind, "n": args.n, "m": args.m, "parity": parity,
               "limit": args.limit, "tol": float(tol)}
     _emit(json.loads(pmf.to_json(f.q, params)))
     return 0
@@ -241,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n", type=int)
     d.add_argument("--q", type=int, required=True)
     d.add_argument("--m", type=int, default=0, help="extra columns (rect)")
-    d.add_argument("--parity", choices=("even", "odd"), default="even",
-                   help="parity of the alternating limit law")
+    d.add_argument("--parity", choices=("even", "odd"),
+                   help="parity of the alternating limit law (default even)")
     d.add_argument("--limit", action="store_true", help="limiting law instead of finite n")
     d.add_argument("--tol", type=float, default=None, help="limit truncation tolerance")
     d.add_argument("--csv")

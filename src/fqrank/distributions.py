@@ -1,8 +1,9 @@
 """Corank distributions for uniform matrix ensembles over F_q.
 
-Finite-n laws are exact counts of the matrices of each rank.  Limiting laws
-truncate the infinite q-products with a recorded tail bound and keep the
-truncated masses as rationals, so every comparison downstream is exact up to
+Finite-n laws are exact counts of the matrices of each rank.  A limiting
+law's mass is an exact rational weight times one infinite q-product, which
+_limit_constant cuts to a rational lower bound; the law keeps those masses
+with a recorded tail bound, so every comparison downstream is exact up to
 that tail.  Each product of (q^i - 1) or (1 - q^-i) is one call of _qprod.
 
 Two corrections to the printed closed forms are applied (and guarded by
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import EvenCharacteristic, InvalidArgument
 from .field import Field
@@ -105,34 +105,24 @@ def _qprod(q: int, lo: int, hi: int, step: int = 1) -> tuple[int, int]:
     return math.prod(q**i - 1 for i in idx), q ** sum(idx)
 
 
-@lru_cache(maxsize=None)
-def _tail_product(q: int, lo: int, tol_exp: int) -> Fraction:
-    """Truncation of prod_{i=lo}^inf (1 - q^-i): factors cut once q^-i < 10^-tol_exp."""
-    hi = max(lo, math.ceil(tol_exp / math.log10(q)) + 1)
-    return Fraction(*_qprod(q, lo, hi))
+_CONSTANTS: dict[tuple[int, int, int], Fraction] = {}
 
 
-@lru_cache(maxsize=None)
-def _sym_constant(q: int, tol_exp: int) -> Fraction:
-    """Truncation of prod_{i odd} (1 - q^-i), up to the first odd i with q^i >= 10^tol_exp."""
+def _limit_constant(q: int, step: int, tol: Fraction) -> Fraction:
+    """Rigorous lower bound on c = prod (1 - q^-i) over i = 1, 1 + step, ...
+
+    The product is cut at the first hi of the progression with q^-hi <=
+    min(tol * 10^-20, 10^-30).  The factors it drops lie in [1 - delta, 1]
+    with delta = sum_{i>hi} q^-i = q^-hi / (q - 1), so the kept product times
+    1 - delta is at most c, and within relative delta of it."""
+    cut = min(tol / 10**20, Fraction(1, 10**30))
     hi = 1
-    while q**hi < 10**tol_exp:
-        hi += 2
-    return Fraction(*_qprod(q, 1, hi, 2))
-
-
-def _tol_exp(tol: Fraction) -> int:
-    # per-factor cutoff: at least 1e-30, and 20 digits below the support tol
-    if float(tol) > 0:
-        return max(30, -math.floor(math.log10(float(tol))) + 20)
-    # below the float range, floor(log10 tol) from the integer logarithms,
-    # which may be one off, so 10^e <= tol < 10^(e+1) is checked exactly
-    e = math.floor(math.log10(tol.numerator) - math.log10(tol.denominator))
-    if tol < Fraction(1, 10**-e):
-        e -= 1
-    elif tol >= Fraction(1, 10**(-e - 1)):
-        e += 1
-    return max(30, -e + 20)
+    while q**hi * cut.numerator < cut.denominator:
+        hi += step
+    if (q, step, hi) not in _CONSTANTS:
+        _CONSTANTS[q, step, hi] = (Fraction(*_qprod(q, 1, hi, step))
+                                   * (1 - Fraction(1, q**hi * (q - 1))))
+    return _CONSTANTS[q, step, hi]
 
 
 def _check_tol(tol) -> Fraction:
@@ -203,27 +193,26 @@ def uniform_alt_pmf(n: int, f: Field) -> CorankPMF:
 # limiting laws
 # ---------------------------------------------------------------------------
 
-def _truncated_limit(f: Field, tol, first: int, step: int, mass) -> CorankPMF:
-    """Lower bounds on the masses at k = first, first + step, ... until less
-    than tol is left, with a rigorous tail bound.
+def _truncated_limit(f: Field, tol, c_step: int, first: int, step: int,
+                     weight) -> CorankPMF:
+    """Lower bounds c * weight(k) on the masses at k = first, first + step,
+    ... until less than tol is left, with a rigorous tail bound.
 
-    Both q-products above keep every factor up to an index hi with
-    q^hi >= 10^te and drop the factors (1 - q^-i), i > hi, whose product
-    lies in [1 - delta, 1] with delta = sum_{i>hi} q^-i <= 10^-te / (q - 1).
-    So mass(k, te) is too large by at most delta times itself, and
-    mass(k, te) * (1 - delta) is a lower bound on the true mass.  The kept
-    masses then sum to at most 1, and 1 minus their sum bounds the mass they
-    leave out."""
+    Every limit law is mass(k) = c * weight(k), where c is the infinite
+    product of _limit_constant (over every i if c_step is 1, every odd i if
+    it is 2) and weight(k) is an exact rational.  With c replaced by its
+    lower bound the kept masses sum to at most 1, and 1 minus their sum
+    bounds the mass they leave out."""
     tol = _check_tol(tol)
-    te = _tol_exp(tol)
-    lower = 1 - Fraction(1, 10**te * (f.q - 1))
-    masses: dict[int, Fraction] = {}
+    c = _limit_constant(f.q, c_step, tol)
+    weights: dict[int, Fraction] = {}
     acc, k = ZERO, first
-    while 1 - acc >= tol:
-        masses[k] = mass(k, te) * lower
-        acc += masses[k]
+    while 1 - c * acc >= tol:
+        weights[k] = weight(k)
+        acc += weights[k]
         k += step
-    return _pmf(masses, kind="truncated-limit", tail_bound=1 - acc)
+    return _pmf({k: c * w for k, w in weights.items()}, kind="truncated-limit",
+                tail_bound=1 - c * acc)
 
 
 def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
@@ -233,33 +222,32 @@ def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
 
 def limit_rect_pmf(m: int, f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     """Truncated law of Q_{m,inf} for n x (n+m) uniform matrices:
-    q^(-k(m+k)) prod_{i>k} (1 - q^-i) / prod_{i=1}^{m+k} (1 - q^-i)."""
+    q^(-k(m+k)) prod_{i>k} (1 - q^-i) / prod_{i=1}^{m+k} (1 - q^-i), which is
+    c = prod_{i>=1} (1 - q^-i) times q^(k + m(m+1)/2) / (prod_{i=1}^k (q^i - 1)
+    prod_{i=1}^{m+k} (q^i - 1))."""
     if m < 0:
         raise InvalidArgument("need m >= 0")
     q = f.q
-    return _truncated_limit(f, tol, 0, 1, lambda k, te: (
-        _tail_product(q, k + 1, te) / Fraction(*_qprod(q, 1, m + k)) / q ** (k * (m + k))))
-
-
-def _mirrored_mass(q: int, alt: bool):
-    """mass(k, te) of the symmetric (alt False) or alternating limit law:
-    prod_{i odd} (1 - q^-i) / prod_{i=1}^k (q^i - 1), times q^k if alternating."""
-    return lambda k, te: _sym_constant(q, te) * (q**k if alt else 1) / _qprod(q, 1, k)[0]
+    return _truncated_limit(f, tol, 1, 0, 1, lambda k: Fraction(
+        q ** (k + m * (m + 1) // 2), _qprod(q, 1, k)[0] * _qprod(q, 1, m + k)[0]))
 
 
 def limit_sym_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
-    """Truncated law of Q_{sym,inf} for symmetric uniform matrices."""
-    return _truncated_limit(f, tol, 0, 1, _mirrored_mass(f.q, alt=False))
+    """Truncated law of Q_{sym,inf} for symmetric uniform matrices:
+    prod_{i odd} (1 - q^-i) / prod_{i=1}^k (q^i - 1)."""
+    return _truncated_limit(f, tol, 2, 0, 1, lambda k: Fraction(1, _qprod(f.q, 1, k)[0]))
 
 
 def limit_alt_pmf(f: Field, parity: str, tol=Fraction(1, 10**12)) -> CorankPMF:
-    """Truncated law of Q_{alt,e} or Q_{alt,o}; each parity class sums to 1."""
+    """Truncated law of Q_{alt,e} or Q_{alt,o}, prod_{i odd} (1 - q^-i) q^k
+    / prod_{i=1}^k (q^i - 1) on k of the parity; each parity class sums to 1."""
     if f.q % 2 == 0:
         raise EvenCharacteristic("alternating model requires odd q")
     if parity not in ("even", "odd"):
         raise InvalidArgument("parity must be 'even' or 'odd'")
     first = 0 if parity == "even" else 1
-    return _truncated_limit(f, tol, first, 2, _mirrored_mass(f.q, alt=True))
+    return _truncated_limit(f, tol, 2, first, 2,
+                            lambda k: Fraction(f.q**k, _qprod(f.q, 1, k)[0]))
 
 
 # ---------------------------------------------------------------------------

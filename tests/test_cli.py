@@ -321,6 +321,12 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
     (None, ["dist", "square", "--q", "2", "--limit", "--n", "5"], "InvalidArgument"),
     (None, ["chain", "symmetric", "--q", "2", "--x0", "1", "--steps", "3", "--hit-zero",
             "--csv", "out.csv"], "InvalidArgument"),
+    # a finite law with no size, and a parity that only the alternating limit reads
+    (None, ["dist", "square", "--q", "3"], "InvalidArgument"),
+    (None, ["dist", "square", "--q", "3", "--n", "2", "--parity", "odd"], "InvalidArgument"),
+    (None, ["dist", "alternating", "--q", "3", "--n", "3", "--parity", "odd"],
+     "InvalidArgument"),
+    (None, ["dist", "symmetric", "--q", "3", "--limit", "--parity", "even"], "InvalidArgument"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqrank.distributions import (CorankPMF, _tol_exp, limit_alt_pmf, limit_pmf,
+from fqrank.distributions import (CorankPMF, limit_alt_pmf, limit_pmf,
                                   limit_rect_pmf, limit_sym_pmf,
                                   limit_square_pmf, tv_distance,
                                   uniform_alt_pmf, uniform_pmf,
@@ -189,23 +189,21 @@ def test_limit_tail_bound_covers_truncation():
                     kept = [Decimal(c.numerator) / c.denominator for _, c in pmf.support]
                     long = _long_masses(kind, q, m, ks)
                     assert all(a < b for a, b in zip(kept, long)), (q, tol, kind, m)
-
-
-def test_tol_exp_pinned_in_float_range():
-    # the per-factor cutoff of tols that a float holds
-    for tol, te in ((Fraction(1, 10**6), 30), (Fraction(1, 10**12), 32),
-                    (Fraction(3, 10**30), 50), (Fraction(1, 10**40), 60),
-                    (Fraction(1, 10**300), 320)):
-        assert _tol_exp(tol) == te, tol
+                    # and each lies within the cut's relative precision of it
+                    cut = min(tol / 10**20, Fraction(1, 10**30))
+                    assert all((b - a) / b < Decimal(cut.numerator) / cut.denominator
+                               for a, b in zip(kept, long)), (q, tol, kind, m)
 
 
 def test_limit_law_below_float_range():
-    # an exact tol that float() takes to 0
+    # exact tols below the 1e-40 floor of a float tol, one of them below
+    # what float() holds at all
     tol = Fraction(1, 10**400)
-    assert _tol_exp(tol) == 420
-    assert _tol_exp(tol / 3) == 421
-    pmf = limit_rect_pmf(0, field_new(65521), tol)
-    assert pmf.tail_bound < tol
+    assert limit_rect_pmf(0, field_new(65521), tol).tail_bound < tol
+    tol = Fraction(1, 10**100)
+    for pmf in (limit_sym_pmf(F3, tol), limit_alt_pmf(F3, "even", tol),
+                limit_alt_pmf(F3, "odd", tol)):
+        assert pmf.tail_bound < tol
 
 
 def test_kind_lookup():
