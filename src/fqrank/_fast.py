@@ -8,7 +8,10 @@ update is Field.vec.sub_mul, which on prime fields leaves x - a*b unreduced
 (delayed modular reduction); Field.vec.reduce brings an array back into
 [0, q) where an entry is compared or multiplied.  On extension fields
 sub_mul goes through exp/log tables and reduce is the identity, so the same
-kernel runs on every field.  No mask of used pivot rows is kept: a pivot
+kernel runs on every field.  On prime fields the delayed entries stay below
+q + C(p-1)^2, so the stack runs in the narrowest integer type that holds
+that bound (_working_dtype), which halves or quarters the memory traffic of
+each update against int64.  No mask of used pivot rows is kept: a pivot
 row's own factor is 1, so its own update clears it and it is never chosen
 again.  FqMatrix.rank is the scalar counterpart and the independent oracle
 this kernel is tested against.
@@ -21,19 +24,32 @@ import numpy as np
 from .field import field_new
 
 
+def _working_dtype(q: int, cols: int) -> type[np.signedinteger]:
+    """The narrowest of int16, int32 and int64 holding q + cols*(p-1)^2, the
+    bound on every entry rank_stack makes on a prime field; extension fields
+    keep int64, which their tables index."""
+    if field_new(q).k > 1:
+        return np.int64
+    bound = q + cols * (q - 1) ** 2
+    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
 def rank_stack(stack: np.ndarray, q: int) -> np.ndarray:
     """Ranks over F_q of a (B, R, C) stack of integer matrices with entries
     in [0, q), by elimination without row swaps."""
     f = field_new(q).vec
-    m = np.array(stack, dtype=np.int64)
-    B, R, C = m.shape
+    B, R, C = stack.shape
+    dt = _working_dtype(q, C)
+    m = np.array(stack, dtype=dt)
     rank = np.zeros(B, dtype=np.int64)
     b = np.arange(B)
     # m holds the columns not yet eliminated.  Only the pivot column and the
-    # pivot row are reduced; after k updates of x - a*b with a, b in [0, p)
-    # every entry satisfies |x| < q + k(p-1)^2, far inside int64 for any
-    # q <= 2^16 and k below 2^31.  A pivot row's own factor is 1 <= p-1, so
-    # the update that clears it (to 0 mod p) keeps the bound.
+    # pivot row are reduced, so each update x - a*b subtracts a product in
+    # [0, (p-1)^2], and after k < C updates every entry lies in
+    # [-k(p-1)^2, q): below q + C(p-1)^2, which dt holds.  A pivot row's own
+    # factor is 1 <= p-1, so the update that clears it (to 0 mod p) keeps
+    # the bound.  The inverses are cast to dt, since the int64 table would
+    # widen the factor, and m with it.
     for _ in range(C):
         if (rank == R).all():
             break
@@ -44,7 +60,7 @@ def rank_stack(stack: np.ndarray, q: int) -> np.ndarray:
         found = pivot != 0
         if not found.any():
             continue
-        factor = f.mul(col, f.inv[pivot][:, None])
+        factor = f.mul(col, f.inv[pivot].astype(dt)[:, None])
         m = f.sub_mul(m, factor[:, :, None], f.reduce(m[b, piv])[:, None, :])
         rank += found
     return rank

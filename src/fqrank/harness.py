@@ -364,16 +364,21 @@ def tv_report(result: MCResult, reference: CorankPMF,
     inequality it falls below its mean by more than sqrt(ln(1/delta)/(2N))
     with probability at most delta; its mean is at least the true TV, since
     TV is convex and the empirical law is unbiased.  tv_err covers the
-    reference's truncation.  It is reported only."""
+    reference's truncation.  It is reported only.
+
+    point_mass_tv, 1 minus the reference's largest mass, is the TV of the
+    nearest point mass up to the reference's tail: a threshold above it
+    passes a sampler that returns one corank every time."""
     tv, err = tv_distance(result.empirical, reference)
     floor = result.noise_floor()
     passed = True if threshold is None else float(tv) <= threshold
     dev = math.sqrt(math.log(1 / UCB_DELTA) / (2 * result.trials))
     ucb = (float(tv + err) + dev) * (1 + 2**-40)  # rounds up past the float error
+    point = 1 - max((m for _, m in reference.support), default=Fraction(0))
     return VerificationReport(
         claim_id=claim_id,
         computed={"tv": tv, "tv_err": err, "tv_ucb": ucb, "noise_floor": floor,
-                  "trials": result.trials},
+                  "trials": result.trials, "point_mass_tv": point},
         bounds={"threshold": threshold, "ucb_delta": UCB_DELTA},
         passed=passed,
         notes="property-level check; tolerance dominated by sampling noise"

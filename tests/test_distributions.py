@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqrank.distributions import (CorankPMF, limit_alt_pmf, limit_pmf,
+from fqrank.distributions import (CorankPMF, fraction_sum, limit_alt_pmf, limit_pmf,
                                   limit_rect_pmf, limit_sym_pmf,
                                   limit_square_pmf, tv_distance,
                                   uniform_alt_pmf, uniform_pmf,
@@ -257,6 +257,23 @@ def test_tv_distance_basics():
     tv_ba, _ = tv_distance(b, a)
     assert tv_ab == tv_ba > 0
     assert tv_ab <= 1
+
+
+def test_fraction_sum_equals_naive_sum():
+    """fraction_sum, under CorankPMF.total and tv_distance, gives the same
+    Fraction as adding one Fraction at a time, on every kind of law."""
+    laws = [limit_square_pmf(F3, TOL), limit_alt_pmf(field_new(5), "odd", TOL),
+            uniform_sym_pmf(6, F3), uniform_rect_pmf(4, 2, F2),
+            CorankPMF.from_counts({0: 7, 2: 3, 5: 1}, 11),
+            CorankPMF((), kind="truncated-limit", tail_bound=Fraction(1))]
+    for a in laws:
+        masses = [m for _, m in a.support]
+        total = fraction_sum(masses)
+        assert type(total) is Fraction and total == sum(masses, Fraction(0)) == a.total()
+        for b in laws:
+            keys = {k for k, _ in a.support} | {k for k, _ in b.support}
+            naive = sum((abs(a.mass(k) - b.mass(k)) for k in keys), Fraction(0)) / 2
+            assert tv_distance(a, b)[0] == naive
 
 
 def test_tol_validation():

@@ -333,6 +333,18 @@ def test_tv_report_upper_confidence_bound():
     assert 0.2 + dev < rep.computed["tv_ucb"] < 0.2 + dev + 1e-9
 
 
+@pytest.mark.parametrize("q, expected", [(101, 0.0100), (7, 0.1632)])
+def test_tv_report_point_mass_power(q, expected):
+    """point_mass_tv is 1 minus the reference's largest mass: the TV of a run
+    with every trial at the likeliest corank, up to the reference's tail."""
+    ref = limit_square_pmf(field_new(q))
+    rep = tv_report(MCResult.from_counts({0: 1000}, 1000, 0), ref, threshold=0.02)
+    point = rep.computed["point_mass_tv"]
+    assert point == 1 - ref.mass(0) == rep.computed["tv"] + rep.computed["tv_err"]
+    assert round(float(point), 4) == expected
+    assert rep.passed == (expected <= 0.02)
+
+
 def test_gl_uniformity_small():
     rep = gl_uniformity_check(2, F2, 6000, seed=17)
     assert rep.computed["cells"] == rep.bounds["cells"] == 6

@@ -102,6 +102,49 @@ def test_rank_stack_pivot_row_clears_itself(q):
         assert rank_stack(stack, q).tolist() == [1] * B
 
 
+@pytest.mark.parametrize("q, C, dtype", [
+    (2, 40, np.int16), (7, 40, np.int16),
+    (101, 3, np.int16), (101, 4, np.int32), (101, 50, np.int32),
+    (46337, 1, np.int32), (46337, 2, np.int64), (65521, 64, np.int64),
+    (9, 6, np.int64), (256, 6, np.int64),  # extension fields keep int64
+])
+def test_rank_stack_working_type_holds_every_entry(monkeypatch, q, C, dtype):
+    """rank_stack runs in the narrowest type holding q + C(p-1)^2, the bound
+    on every entry its delayed updates make: each sub_mul output keeps that
+    type, stays within the bound, and the ranks are FqMatrix.rank's."""
+    f = field_new(q)
+    records = []
+    sub_mul = f.vec.sub_mul
+
+    def recording(x, a, b):
+        out = sub_mul(x, a, b)
+        records.append((out.dtype, int(np.abs(out).max(initial=0))))
+        return out
+
+    monkeypatch.setattr(f.vec, "sub_mul", recording)
+    rng = np.random.default_rng(C)
+    top = q - 1
+    # row j < C-1 is e_j + top e_{C-1} and the last row is top left of its
+    # last entry, so each of the C-1 pivots gives the last row factor p-1
+    # against a pivot row entry p-1: its last entry falls to -(C-1)(p-1)^2
+    worst = np.zeros((C, C), dtype=np.int64)
+    worst[np.arange(C - 1), np.arange(C - 1)] = 1
+    worst[:C - 1, -1] = top
+    worst[-1, :-1] = top
+    repeats = np.repeat(rng.integers(0, q, size=(1, C)), C, axis=0)
+    repeats = f.vec.mul(repeats, rng.integers(0, q, size=(C, 1)))
+    sparse = rng.integers(0, q, size=(C, C))
+    sparse[rng.random((C, C)) < 0.75] = 0
+    stack = np.stack([np.full((C, C), top), repeats, sparse,
+                      rng.integers(0, q, size=(C, C)), worst])
+    assert rank_stack(stack, q).tolist() == [_oracle_rank(f, a) for a in stack]
+    assert records and {t for t, _ in records} == {np.dtype(dtype)}
+    peak = max(m for _, m in records)
+    assert peak <= q + C * (f.p - 1) ** 2
+    if f.k == 1:
+        assert peak == (C - 1) * (q - 1) ** 2
+
+
 def test_rref_pivots():
     M = FqMatrix.from_rows(F3, [[0, 2, 1], [1, 1, 0]])
     red, pivots = M.rref()
