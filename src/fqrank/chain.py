@@ -122,6 +122,10 @@ def hit_zero_prob(spec: ChainSpec, x0: int, steps: int) -> Fraction:
 
 def path_probability(spec: ChainSpec, path: list[int]) -> Fraction:
     """Exact probability of a given corank path (consecutive transitions)."""
+    if not path:
+        raise InvalidArgument("a path needs at least one corank")
+    if min(path) < 0:
+        raise InvalidArgument("corank must be >= 0")
     prob = Fraction(1)
     for k, k2 in zip(path, path[1:]):
         move = dict(_moves(spec.kind, k, spec.field)).get(k2)
@@ -159,24 +163,38 @@ def most_likely_positive_path(spec: ChainSpec, x0: int, steps: int
 
 
 def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
-    """All strictly-positive paths with their exact probabilities (cross-check
-    oracle; capped by the caller at modest step counts)."""
+    """All strictly-positive paths with their exact probabilities, depth first
+    in the move order down, stay, up (cross-check oracle; capped by the caller
+    at modest step counts).
+
+    A move from corank k has probability an integer over q^(k+1), so over
+    D = q^(x0+steps+1) every reachable move is an integer weight and a path's
+    probability is the product of its weights over D^steps.  Paths of equal
+    weight share one Fraction."""
     if x0 < 1:
         raise InvalidArgument("a strictly positive path needs x0 >= 1")
     _check_steps(steps)
+    D = spec.field.q ** (x0 + steps + 1)
+    weights: dict[int, tuple[tuple[int, int], ...]] = {}
+    for k in range(1, x0 + steps + 1):
+        scaled = [(k2, p * D) for k2, p in _moves(spec.kind, k, spec.field) if k2 >= 1]
+        assert all(w.denominator == 1 for _, w in scaled)
+        weights[k] = tuple((k2, w.numerator) for k2, w in scaled)
+    denom = D**steps
+    probs: dict[int, Fraction] = {}
     out: list[tuple[tuple[int, ...], Fraction]] = []
 
-    def rec(path: list[int], prob: Fraction) -> None:
-        if len(path) == steps + 1:
-            out.append((tuple(path), prob))
+    def rec(path: tuple[int, ...], weight: int) -> None:
+        if len(path) > steps:
+            prob = probs.get(weight)
+            if prob is None:
+                prob = probs[weight] = Fraction(weight, denom)
+            out.append((path, prob))
             return
-        for k2, move in _moves(spec.kind, path[-1], spec.field):
-            if k2 >= 1:
-                path.append(k2)
-                rec(path, prob * move)
-                path.pop()
+        for k2, w in weights[path[-1]]:
+            rec(path + (k2,), weight * w)
 
-    rec([x0], Fraction(1))
+    rec((x0,), 1)
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,10 @@ def test_path_probability():
     # the alternating corank never stays, the iid-column codimension never rises
     assert path_probability(ChainSpec("alternating", F3), [2, 1, 1]) == 0
     assert path_probability(ChainSpec("iid-column", F3, n=3), [1, 2]) == 0
+    # no coranks, or a negative one, is no path at all
+    for path in ([], [-1], [2, 1, 0, -1]):
+        with pytest.raises(InvalidArgument):
+            path_probability(spec, path)
 
 
 def test_most_likely_path_matches_enumeration():
@@ -86,6 +91,59 @@ def test_most_likely_path_matches_enumeration():
                 assert path_probability(spec, path) == prob
                 best = max(p for _, p in enumerate_positive_paths(spec, x0, steps))
                 assert prob == best
+
+
+def test_enumerate_positive_paths_equals_brute_force():
+    """Every step sequence over (-1, 0, +1), in lexicographic order (down,
+    stay, up), whose path stays positive and whose product of transition()
+    probabilities is nonzero."""
+    cases = [ChainSpec("symmetric", field_new(q)) for q in (2, 3, 5)]
+    cases += [ChainSpec("alternating", F3), ChainSpec("iid-column", F3, n=4)]
+    for spec in cases:
+        for x0 in range(1, 5):
+            for steps in (0, 1, 2, 5):
+                expected = []
+                for moves in itertools.product((-1, 0, 1), repeat=steps):
+                    path = tuple(itertools.accumulate(moves, initial=x0))
+                    if min(path) < 1:
+                        continue
+                    prob = Fraction(1)
+                    for k, d in zip(path, moves):
+                        prob *= transition(spec.kind, k, spec.field)[d + 1]
+                    if prob:
+                        expected.append((path, prob))
+                assert enumerate_positive_paths(spec, x0, steps) == expected
+
+
+def _viterbi_max(spec, x0, steps, floor):
+    """Largest probability of a strictly positive path of at least floor: a
+    max-product DP over (step, corank >= 1) on transition() alone.  No move
+    has probability above 1, so a prefix below floor is left out."""
+    best = {x0: Fraction(1)}
+    for _ in range(steps):
+        nxt = {}
+        for k, prob in best.items():
+            for k2, move in zip((k - 1, k, k + 1), transition(spec.kind, k, spec.field)):
+                p = prob * move
+                if k2 >= 1 and p >= floor and p > nxt.get(k2, 0):
+                    nxt[k2] = p
+        best = nxt
+    return max(best.values())
+
+
+@pytest.mark.parametrize("kind, q", [("symmetric", 2), ("symmetric", 3), ("alternating", 3)])
+def test_most_likely_path_matches_viterbi(kind, q):
+    """The closed-form path far beyond the enumeration's reach; a tie with
+    another path of the same probability counts as success.  The claimed
+    path is a real positive path, so the best path is at least as likely and
+    the DP may leave out every prefix less likely than the claim."""
+    spec = ChainSpec(kind, field_new(q))
+    for x0 in (1, 4, 10):
+        for steps in (50, 200):
+            path, prob = most_likely_positive_path(spec, x0, steps)
+            assert len(path) == steps + 1 and path[0] == x0 and min(path) >= 1
+            assert path_probability(spec, path) == prob > 0
+            assert _viterbi_max(spec, x0, steps, prob) == prob
 
 
 def test_planted_pmf_from_zero_matches_uniform():

@@ -345,6 +345,20 @@ def test_tv_report_point_mass_power(q, expected):
     assert rep.passed == (expected <= 0.02)
 
 
+@pytest.mark.parametrize("group, expected", [("gl-minus-identity", 0.1632),
+                                             ("gl-corner", 0.2397)])
+def test_gl_limit_checks_fail_a_point_mass(monkeypatch, group, expected):
+    """Negative control for criteria 5 and 6: the gate's check, with its
+    trials, seed and threshold, fails a sampler that puts every trial at
+    corank 0."""
+    monkeypatch.setattr(harness, "mc_corank", lambda spec, trials, seed:
+                        MCResult.from_counts({0: trials}, trials, seed))
+    (rep,) = harness.CHECKS[group].run()
+    assert rep.computed["trials"] == 20000 and rep.bounds["threshold"] == 0.02
+    assert round(float(rep.computed["tv"]), 4) == expected
+    assert rep.passed is False
+
+
 def test_gl_uniformity_small():
     rep = gl_uniformity_check(2, F2, 6000, seed=17)
     assert rep.computed["cells"] == rep.bounds["cells"] == 6
