@@ -19,6 +19,7 @@ truncation error.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,8 +170,15 @@ def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
 
     A move from corank k has probability an integer over q^(k+1), so over
     D = q^(x0+steps+1) every reachable move is an integer weight and a path's
-    probability is the product of its weights over D^steps.  Paths of equal
-    weight share one Fraction."""
+    probability is the product of its weights over D^steps.  Each path is a
+    head of steps // 2 moves from x0 joined to a tail of the remaining moves;
+    the tails are enumerated once per end corank of a head, and paths of equal
+    weight share one Fraction.
+
+    The cyclic garbage collector is paused while the output list is built:
+    the list holds only tuples of ints and Fractions, which form no reference
+    cycles, so a collection there would traverse every new pair and free
+    nothing.  The caller's collector state is restored on every exit."""
     if x0 < 1:
         raise InvalidArgument("a strictly positive path needs x0 >= 1")
     _check_steps(steps)
@@ -178,23 +186,44 @@ def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
     weights: dict[int, tuple[tuple[int, int], ...]] = {}
     for k in range(1, x0 + steps + 1):
         scaled = [(k2, p * D) for k2, p in _moves(spec.kind, k, spec.field) if k2 >= 1]
-        assert all(w.denominator == 1 for _, w in scaled)
+        if any(w.denominator != 1 for _, w in scaled):
+            raise AssertionError(f"a move from corank {k} is not an integer weight "
+                                 f"over q^{x0 + steps + 1}")
         weights[k] = tuple((k2, w.numerator) for k2, w in scaled)
+
+    def walks(start: int, moves: int) -> list[tuple[tuple[int, ...], int]]:
+        # extending each walk in move order keeps the depth-first order
+        level = [((start,), 1)]
+        for _ in range(moves):
+            level = [(path + (k2,), weight * w)
+                     for path, weight in level for k2, w in weights[path[-1]]]
+        return level
+
+    heads = walks(x0, steps // 2)
+    tails: dict[int, tuple[list[tuple[tuple[int, ...], int]], list[int]]] = {}
+    for end in {head[-1] for head, _ in heads}:
+        index: dict[int, int] = {}
+        tails[end] = ([(path[1:], index.setdefault(v, len(index)))
+                       for path, v in walks(end, steps - steps // 2)], list(index))
     denom = D**steps
     probs: dict[int, Fraction] = {}
     out: list[tuple[tuple[int, ...], Fraction]] = []
-
-    def rec(path: tuple[int, ...], weight: int) -> None:
-        if len(path) > steps:
-            prob = probs.get(weight)
-            if prob is None:
-                prob = probs[weight] = Fraction(weight, denom)
-            out.append((path, prob))
-            return
-        for k2, w in weights[path[-1]]:
-            rec(path + (k2,), weight * w)
-
-    rec((x0,), 1)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for head, w in heads:
+            joins, vs = tails[head[-1]]
+            shared = []
+            for v in vs:
+                weight = w * v
+                prob = probs.get(weight)
+                if prob is None:
+                    prob = probs[weight] = Fraction(weight, denom)
+                shared.append(prob)
+            out += [(head + tail, shared[i]) for tail, i in joins]
+    finally:
+        if collecting:
+            gc.enable()
     return out
 
 

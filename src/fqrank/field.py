@@ -258,7 +258,9 @@ class Field:
         for _ in range(self.k):
             acc = self.add(acc, y)
             y = self.pow(y, self.p)
-        assert acc < self.p  # trace lands in the prime subfield
+        if acc >= self.p:
+            raise AssertionError(f"trace of {x} in F_{self.q} is {acc}, "
+                                 f"outside the prime subfield F_{self.p}")
         return acc
 
     def char_e(self, t: int) -> complex:

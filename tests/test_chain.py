@@ -1,8 +1,10 @@
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from fqrank import chain
 from fqrank.chain import (ChainSpec, delta_pmf, enumerate_positive_paths,
                           evolve, hit_zero_prob, most_likely_positive_path,
                           path_probability, planted_pmf, transition)
@@ -101,7 +103,7 @@ def test_enumerate_positive_paths_equals_brute_force():
     cases += [ChainSpec("alternating", F3), ChainSpec("iid-column", F3, n=4)]
     for spec in cases:
         for x0 in range(1, 5):
-            for steps in (0, 1, 2, 5):
+            for steps in (0, 1, 2, 3, 4, 5, 6, 7):
                 expected = []
                 for moves in itertools.product((-1, 0, 1), repeat=steps):
                     path = tuple(itertools.accumulate(moves, initial=x0))
@@ -113,6 +115,64 @@ def test_enumerate_positive_paths_equals_brute_force():
                     if prob:
                         expected.append((path, prob))
                 assert enumerate_positive_paths(spec, x0, steps) == expected
+
+
+def _reference_positive_paths(spec, x0, steps):
+    """The depth-first recursion the head x tail enumeration replaced: an
+    integer weight per path over D = q^(x0+steps+1), one Fraction per weight."""
+    D = spec.field.q ** (x0 + steps + 1)
+    weights = {k: tuple((k2, (p * D).numerator)
+                        for k2, p in chain._moves(spec.kind, k, spec.field) if k2 >= 1)
+               for k in range(1, x0 + steps + 1)}
+    probs, out = {}, []
+
+    def rec(path, weight):
+        if len(path) > steps:
+            out.append((path, probs.setdefault(weight, Fraction(weight, D**steps))))
+            return
+        for k2, w in weights[path[-1]]:
+            rec(path + (k2,), weight * w)
+
+    rec((x0,), 1)
+    return out
+
+
+def test_enumerate_positive_paths_pins_gate_output():
+    """Every criterion-9 gate point up to 9 steps equals the reference
+    recursion; the 12-step point shares one Fraction per distinct weight."""
+    for kind, q in (("symmetric", 2), ("symmetric", 3), ("alternating", 3)):
+        spec = ChainSpec(kind, field_new(q))
+        for x0 in (1, 2, 3, 4):
+            for steps in (3, 6, 9):
+                assert (enumerate_positive_paths(spec, x0, steps)
+                        == _reference_positive_paths(spec, x0, steps))
+    paths = enumerate_positive_paths(ChainSpec("symmetric", F3), 4, 12)
+    assert len(paths) == 444_315
+    assert len({id(p) for _, p in paths}) == 14_083
+
+
+def test_enumerate_positive_paths_keeps_collector_state():
+    spec = ChainSpec("symmetric", F3)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert enumerate_positive_paths(spec, 2, 5)
+            assert gc.isenabled() is enabled
+            with pytest.raises(InvalidArgument):
+                enumerate_positive_paths(spec, 0, 5)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_enumerate_positive_paths_refuses_inexact_weight(monkeypatch):
+    """A move probability that is not an integer over q^(x0+steps+1) is
+    refused by an explicit raise, which python -O keeps."""
+    monkeypatch.setattr(chain, "_moves",
+                        lambda kind, k, f: ((k - 1, Fraction(1, 7)), (k, Fraction(6, 7))))
+    with pytest.raises(AssertionError, match="not an integer weight over q"):
+        enumerate_positive_paths(ChainSpec("symmetric", F3), 2, 3)
 
 
 def _viterbi_max(spec, x0, steps, floor):

@@ -124,6 +124,14 @@ def test_trace_lands_in_prime_subfield():
         assert 0 <= f.trace(x) < f.p
 
 
+def test_trace_outside_prime_subfield_raises(monkeypatch):
+    """The exactness guard is an explicit raise, so it holds under python -O."""
+    f = field_new(9)
+    monkeypatch.setattr(f, "pow", lambda a, e: 0)  # drops the Frobenius terms
+    with pytest.raises(AssertionError, match="outside the prime subfield F_3"):
+        f.trace(4)
+
+
 def test_trace_f4():
     f = field_new(4)
     # tr(x) = x + x^2 = x + (x + 1) = 1 for x encoded as 2
