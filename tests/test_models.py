@@ -167,6 +167,36 @@ def test_override_draws_pinned():
         assert [sample(spec, 9, t).entries for t in range(3)] == draws
 
 
+def test_fixed_cell_draws_pinned():
+    # mirrored kinds with nonzero F values, F cells on the diagonal, overrides
+    # in either triangle and planted corners, drawn before the fixed cells
+    # became one list written after in-place mirroring
+    law5 = EntryDist((Fraction(1, 2), Fraction(0), Fraction(1, 6), Fraction(1, 4),
+                      Fraction(1, 12)))
+    law3 = EntryDist((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+    specs = [
+        (ModelSpec(kind="alternating", field=F5, n=4, entries=law5,
+                   overrides=((0, 1, law5), (3, 2, law5)),
+                   type_f=TypeFSpec(((2,), (1, 3), (), (0,)), ((3,), (0, 4), (), (1,)))),
+         [(0, 0, 2, 1, 0, 0, 0, 1, 3, 0, 0, 2, 4, 4, 3, 0),
+          (0, 0, 2, 1, 0, 0, 0, 1, 3, 0, 0, 0, 4, 4, 0, 0)]),
+        (ModelSpec(kind="planted-symmetric", field=F5, n=5,
+                   planted=FqMatrix.from_rows(F5, [[1, 4], [4, 0]]),
+                   overrides=((4, 2, law5), (0, 4, law5)),
+                   type_f=TypeFSpec(((3,), (), (2,), (4,)), ((4,), (), (1,), (2,)))),
+         [(1, 4, 1, 4, 3, 4, 0, 2, 1, 3, 1, 2, 1, 2, 3, 4, 1, 2, 2, 2, 3, 3, 3, 2, 3),
+          (1, 4, 1, 4, 0, 4, 0, 1, 1, 4, 1, 1, 1, 3, 0, 4, 1, 3, 4, 2, 0, 4, 0, 2, 0)]),
+        (ModelSpec(kind="planted-alternating", field=F3, n=5,
+                   planted=FqMatrix.from_rows(F3, [[0, 1], [2, 0]]),
+                   overrides=((3, 1, law3),),
+                   type_f=TypeFSpec(((4,), (), (2, 3)), ((2,), (), (0, 1)))),
+         [(0, 1, 0, 0, 1, 2, 0, 1, 2, 2, 0, 2, 0, 2, 2, 0, 1, 1, 0, 0, 2, 1, 1, 0, 0),
+          (0, 1, 0, 1, 1, 2, 0, 0, 1, 2, 0, 0, 0, 2, 1, 2, 2, 1, 0, 0, 2, 1, 2, 0, 0)]),
+    ]
+    for spec, draws in specs:
+        assert [sample(spec, 7, t).entries for t in range(2)] == draws
+
+
 def test_entry_law_denominator_cap():
     third = Fraction(1, 999999999989)
     fourth = Fraction(1, 999999999961)
