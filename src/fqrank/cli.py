@@ -37,11 +37,14 @@ SUITES = tuple(dict.fromkeys(g.suite for g in harness.CHECKS.values()))
 
 
 def _write_csv(path: str, pmf: CorankPMF) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["corank", "mass_num", "mass_den"])
-        for k, mass in pmf.support:
-            w.writerow([k, int_str(mass.numerator), int_str(mass.denominator)])
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["corank", "mass_num", "mass_den"])
+            for k, mass in pmf.support:
+                w.writerow([k, int_str(mass.numerator), int_str(mass.denominator)])
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write --csv file: {exc}") from None
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -182,10 +185,8 @@ def cmd_structure(args) -> int:
              for i, j, d in spec.overrides}
     dists = [drawn.get((0, i) if mirrored else (i, 0), spec.default_dist())
              for i in range(spec.shape[0])]
-    F = {0} if "alternating" in spec.kind else set()  # the zero diagonal
-    if spec.type_f is not None:
-        rows, cols, _ = spec._fixed_writes
-        F |= {int(r) for r, c in zip(rows, cols) if c == 0}
+    rows, cols, _ = spec.fixed_cells
+    F = set(rows[cols == 0].tolist())
     if len(a) != len(dists):
         raise InvalidArgument(f"--vector has {len(a)} coordinates; the spec's "
                               f"columns have {len(dists)}")

@@ -505,7 +505,8 @@ def path_claim_check(kind: str, x0: int, steps: int, f: Field) -> VerificationRe
     strictly positive paths (ties count as success)."""
     spec = ChainSpec(kind, f)
     path, prob = most_likely_positive_path(spec, x0, steps)
-    best = max(p for _, p in enumerate_positive_paths(spec, x0, steps))
+    # each distinct object once gives the same max; equal weights share one Fraction
+    best = max({id(p): p for _, p in enumerate_positive_paths(spec, x0, steps)}.values())
     return VerificationReport(
         claim_id=f"path-claim-{kind}-x0{x0}-steps{steps}-q{f.q}",
         computed={"claimed_path": list(path), "claimed_prob": prob, "max_prob": best},

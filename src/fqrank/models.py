@@ -312,14 +312,19 @@ class ModelSpec:
         return self.entries if self.entries is not None else uniform_entry_dist(self.field)
 
     @cached_property
-    def _fixed_writes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values that the type-F pattern writes into a
-        draw: each fixed entry, then its mirror image on symmetric and
-        alternating kinds.  A later write to the same cell wins, so every
-        cell appears once."""
+    def fixed_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the cells that a draw does not take
+        from its entry laws: the alternating diagonal (0), the planted
+        corner, then each type-F entry and, on symmetric and alternating
+        kinds, its mirror image (negated on alternating kinds).  A later
+        write to the same cell wins, so every cell appears once."""
         alt = "alternating" in self.kind
-        out: dict[tuple[int, int], int] = {}
-        for (r, c), v in self.type_f.fixed_entries().items():
+        out: dict[tuple[int, int], int] = {(i, i): 0 for i in range(self.n)} if alt else {}
+        if self.planted is not None:
+            for r, row in enumerate(self.planted.to_lists()):
+                out.update(((r, c), v) for c, v in enumerate(row))
+        fixed = self.type_f.fixed_entries() if self.type_f is not None else {}
+        for (r, c), v in fixed.items():
             out[r, c] = v
             if self.kind not in ("iid-square", "iid-rect"):
                 out[c, r] = self.field.neg(v) if alt else v
@@ -359,7 +364,7 @@ class ModelSpec:
         except FqRankError:
             raise
         except (AttributeError, KeyError, IndexError, TypeError, ValueError,
-                OverflowError, ZeroDivisionError) as exc:
+                OverflowError, ZeroDivisionError, RecursionError) as exc:
             raise InvalidSpec(f"malformed spec: {type(exc).__name__}: {exc}") from exc
 
     @staticmethod
@@ -517,8 +522,9 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
     rows, cols) integer array with entries in [0, q).
 
     Draw i consumes rngs[i] alone, exactly as a stack of one would: the
-    entry draw, then one draw per override.  The value lookups, mirroring,
-    planted corner and fixed entries are applied to the whole stack."""
+    entry draw of spec.shape, then one draw per override.  Then the whole
+    stack is looked up, mirrored kinds copy the strict upper triangle into
+    the lower one (negated if alternating), and spec.fixed_cells is written."""
     f = spec.field
     kind, n = spec.kind, spec.n
     if kind in GL_KINDS:
@@ -529,13 +535,10 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
         return m[:, :k, :k]
 
     mirrored = kind not in ("iid-square", "iid-rect")
-    alt = "alternating" in kind
     dist = spec.default_dist()
-    # mirrored kinds draw a full square and keep its upper triangle
-    shape = (n, n) if mirrored else spec.shape
     u, over = [], []
     for rng in rngs:
-        u.append(rng.integers(0, dist.denominator, size=shape))
+        u.append(rng.integers(0, dist.denominator, size=spec.shape))
         over.append([rng.integers(0, d.denominator) for _, _, d in spec.overrides])
     m = dist.lookup(np.stack(u))
     over = np.array(over, dtype=np.int64).reshape(len(rngs), -1)
@@ -544,18 +547,10 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
             i, j = min(i, j), max(i, j)
         m[:, i, j] = d.lookup(over[:, k])
     if mirrored:
-        upper = m
-        m = np.zeros_like(upper)
-        r, c = np.triu_indices(n, k=int(alt))
-        m[:, r, c] = upper[:, r, c]
-        m[:, c, r] = f.vec.sub(0, upper[:, r, c]) if alt else upper[:, r, c]
-        if kind.startswith("planted"):
-            m0 = spec.planted.rows
-            m[:, :m0, :m0] = spec.planted.to_lists()
-
-    if spec.type_f is not None:
-        r, c, v = spec._fixed_writes
-        m[:, r, c] = v
+        r, c = np.triu_indices(n, k=1)
+        m[:, c, r] = f.vec.sub(0, m[:, r, c]) if "alternating" in kind else m[:, r, c]
+    r, c, v = spec.fixed_cells
+    m[:, r, c] = v
     return m
 
 

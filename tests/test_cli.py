@@ -337,6 +337,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+@pytest.mark.parametrize("argv", [
+    ["dist", "square", "--n", "2", "--q", "2", "--csv", "MISSING"],
+    ["mc", "SPEC", "--trials", "10", "--seed", "1", "--csv", "MISSING"],
+    ["chain", "symmetric", "--q", "3", "--x0", "1", "--steps", "2", "--csv", "DIR"],
+])
+def test_unwritable_csv_exits_2(tmp_path, capsys, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "iid-square", "q": 3, "n": 2}))
+    paths = {"SPEC": str(spec), "MISSING": str(tmp_path / "no" / "dir" / "x.csv"),
+             "DIR": str(tmp_path)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
+def test_deeply_nested_spec_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["sample", str(path), "--seed", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidSpec"
+
+
 def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": "iid-square", "q": 3, "n": 2}))

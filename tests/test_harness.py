@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fqrank import harness
+from fqrank.chain import ChainSpec, enumerate_positive_paths
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
 from fqrank.errors import InvalidArgument, TooLargeToEnumerate
 from fqrank.field import field_new
@@ -363,6 +364,30 @@ def test_gl_uniformity_small():
     rep = gl_uniformity_check(2, F2, 6000, seed=17)
     assert rep.computed["cells"] == rep.bounds["cells"] == 6
     assert rep.passed
+
+
+def test_gl_uniformity_fails_unrejected_draws(monkeypatch):
+    """Negative control for criterion 4: the gate's check, with its trials
+    and seeds, fails uniform n x n draws that skip the rejection step."""
+    def unrejected(spec, seed, start, stop):
+        rng = np.random.default_rng(seed)
+        yield rng.integers(0, spec.field.q, size=(stop - start, *spec.shape))
+
+    monkeypatch.setattr(harness, "_blocks", unrejected)
+    reports = list(harness.CHECKS["gl-uniformity"].run())
+    assert [r.computed["trials"] for r in reports] == [60000, 100000]
+    for rep in reports:
+        assert rep.computed["singular"] > 0
+        assert rep.passed is False
+
+
+@pytest.mark.parametrize("kind, q", [("symmetric", 2), ("symmetric", 3), ("alternating", 3)])
+def test_path_claim_max_is_the_plain_max(kind, q):
+    # criterion 9's 12-step points compare each distinct Fraction once
+    f = field_new(q)
+    rep = harness.path_claim_check(kind, 4, 12, f)
+    paths = enumerate_positive_paths(ChainSpec(kind, f), 4, 12)
+    assert rep.computed["max_prob"] == max(p for _, p in paths)
 
 
 def test_structure_suites():

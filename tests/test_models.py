@@ -197,6 +197,17 @@ def test_fixed_cell_draws_pinned():
         assert [sample(spec, 7, t).entries for t in range(2)] == draws
 
 
+def test_fixed_cells_hold_every_cell_not_drawn_from_a_law():
+    # the zero diagonal, the planted corner, then F entries with negated mirrors
+    corner = FqMatrix.from_rows(F3, [[0, 1], [2, 0]])
+    spec = ModelSpec(kind="planted-alternating", field=F3, n=3, planted=corner,
+                     type_f=TypeFSpec(((2,),), ((1,),)))
+    rows, cols, vals = spec.fixed_cells
+    assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == {
+        (0, 0): 0, (1, 1): 0, (2, 2): 0, (0, 1): 1, (1, 0): 2, (2, 0): 1, (0, 2): 2}
+    assert all(a.size == 0 for a in ModelSpec(kind="symmetric", field=F3, n=3).fixed_cells)
+
+
 def test_entry_law_denominator_cap():
     third = Fraction(1, 999999999989)
     fourth = Fraction(1, 999999999961)
@@ -303,6 +314,11 @@ def test_from_json_refuses_non_integers(part):
     assert ModelSpec.from_json(json.dumps(good)).n == 2
     with pytest.raises(InvalidSpec):
         ModelSpec.from_json(json.dumps({**good, **part}))
+
+
+def test_from_json_refuses_deep_nesting():
+    with pytest.raises(InvalidSpec, match="RecursionError"):
+        ModelSpec.from_json("[" * 200_000 + "]" * 200_000)
 
 
 def test_planted_validation():
