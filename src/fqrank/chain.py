@@ -111,9 +111,12 @@ def delta_pmf(k: int) -> CorankPMF:
 
 def hit_zero_prob(spec: ChainSpec, x0: int, steps: int) -> Fraction:
     """Exact probability the chain started at corank x0 touches 0 within
-    `steps` steps (absorbing-state computation)."""
+    `steps` steps (absorbing-state computation).  On iid-column, x0 is the
+    span codimension, at most n."""
     if x0 < 0:
         raise InvalidArgument("x0 must be >= 0")
+    if spec.kind == "iid-column" and x0 > spec.n:
+        raise InvalidArgument("the span codimension x0 exceeds ambient n")
     _check_steps(steps)
     dist = {x0: Fraction(1)}
     for _ in range(steps):

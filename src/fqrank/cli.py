@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,13 +37,25 @@ from . import harness
 SUITES = tuple(dict.fromkeys(g.suite for g in harness.CHECKS.values()))
 
 
-def _write_csv(path: str, pmf: CorankPMF) -> None:
+def _open_csv(path: str | None):
+    """The --csv file, opened for writing; a null context without one."""
+    if not path:
+        return nullcontext()
     try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["corank", "mass_num", "mass_den"])
-            for k, mass in pmf.support:
-                w.writerow([k, int_str(mass.numerator), int_str(mass.denominator)])
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write --csv file: {exc}") from None
+
+
+def _write_csv(fh, pmf: CorankPMF) -> None:
+    if fh is None:
+        return
+    try:
+        w = csv.writer(fh)
+        w.writerow(["corank", "mass_num", "mass_den"])
+        for k, mass in pmf.support:
+            w.writerow([k, int_str(mass.numerator), int_str(mass.denominator)])
+        fh.flush()
     except OSError as exc:
         raise InvalidArgument(f"cannot write --csv file: {exc}") from None
 
@@ -88,8 +101,8 @@ def cmd_dist(args) -> int:
         raise InvalidArgument("--n is required without --limit")
     else:
         pmf = uniform_pmf(args.kind, args.n, f, args.m)
-    if args.csv:
-        _write_csv(args.csv, pmf)
+    with _open_csv(args.csv) as fh:
+        _write_csv(fh, pmf)
     params = {"kind": args.kind, "n": args.n, "m": args.m, "parity": parity,
               "limit": args.limit, "tol": float(tol)}
     _emit(json.loads(pmf.to_json(f.q, params)))
@@ -116,7 +129,14 @@ def cmd_mc(args) -> int:
     if args.threshold is not None and not math.isfinite(args.threshold):
         raise InvalidArgument("--threshold must be finite")
     spec = _load_spec(args.spec)
-    result = harness.mc_corank(spec, args.trials, args.seed)
+    # a bad --ref or --csv is refused before the first trial
+    ref = None
+    if args.ref:
+        parity = "even" if spec.shape[0] % 2 == 0 else "odd"
+        ref = limit_pmf(args.ref, spec.field, spec.m, parity, Fraction(1, 10**30))
+    with _open_csv(args.csv) as fh:
+        result = harness.mc_corank(spec, args.trials, args.seed)
+        _write_csv(fh, result.empirical)
     out = {
         "trials": result.trials,
         "seed": result.seed,
@@ -127,16 +147,11 @@ def cmd_mc(args) -> int:
         "noise_floor": result.noise_floor(),
     }
     ok = True
-    if args.ref:
-        n = spec.shape[0]
-        ref = limit_pmf(args.ref, spec.field, spec.m, "even" if n % 2 == 0 else "odd",
-                        Fraction(1, 10**30))
+    if ref is not None:
         report = harness.tv_report(result, ref, threshold=args.threshold,
                                    claim_id=f"mc-vs-limit-{args.ref}")
         out["report"] = report.to_dict()
         ok = report.passed
-    if args.csv:
-        _write_csv(args.csv, result.empirical)
     _emit(out)
     return 0 if ok else 1
 
@@ -158,8 +173,8 @@ def cmd_chain(args) -> int:
     else:
         # --planted reads x0 as a fixed corner's corank; the law is the same
         pmf = chain_mod.evolve(spec, chain_mod.delta_pmf(args.x0), args.steps)
-        if args.csv:
-            _write_csv(args.csv, pmf)
+        with _open_csv(args.csv) as fh:
+            _write_csv(fh, pmf)
         params = {"kind": args.kind, "n": args.n, "x0": args.x0, "steps": args.steps,
                   "planted": args.planted}
         _emit(json.loads(pmf.to_json(f.q, params)))

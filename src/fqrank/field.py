@@ -8,8 +8,9 @@ at construction over a fixed multiplicative generator, addition is XOR when
 p = 2 and goes through Zech logarithms when p is odd.
 
 Field.vec carries the same arithmetic over numpy arrays of elements, from
-the same tables; it is the only place where prime and extension fields
-take different code.
+the same tables, in one class per field type (prime, binary extension, odd
+extension).  The scalar methods add, neg, mul, inv and trace branch on k:
+prime fields take ordinary arithmetic mod p, extension fields the tables.
 
 The reducing modulus is the lexicographically least monic irreducible
 polynomial of degree k over F_p (compared as coefficient tuples from the

@@ -252,10 +252,6 @@ class ModelSpec:
                 raise InvalidSpec("planted corner must be square with m0 <= n (dimensions)")
             if self.planted.field.q != f.q:
                 raise InvalidSpec("planted corner field mismatch")
-            if self.kind == "planted-symmetric" and not self.planted.is_symmetric():
-                raise InvalidSpec("planted corner must be symmetric")
-            if self.kind == "planted-alternating" and not self.planted.is_alternating():
-                raise InvalidSpec("planted corner must be alternating")
             if self.entries is not None:
                 raise InvalidSpec("planted kinds draw uniform entries; entries not allowed")
         if self.kind in GL_KINDS and (self.entries is not None or self.overrides
@@ -278,20 +274,7 @@ class ModelSpec:
                 raise InvalidSpec("alternating diagonal cannot be overridden")
             if i < m0 and j < m0:
                 raise InvalidSpec("override inside the planted corner")
-        if self.type_f is not None:
-            if len(self.type_f.sets) > cols:
-                raise InvalidSpec("more F sets than columns")
-            for col, rset in enumerate(self.type_f.sets):
-                for idx, r in enumerate(rset):
-                    if not (_is_int(r) and 0 <= r < rows):
-                        raise InvalidSpec("F index out of range or not an integer")
-                    if r < m0 and col < m0:
-                        raise InvalidSpec("F entry inside the planted corner")
-                    v = (self.type_f.values[col][idx] if self.type_f.values else 0)
-                    if not (_is_int(v) and 0 <= v < f.q):
-                        raise InvalidSpec("fixed value out of range or not an integer")
-                    if r == col and v != 0 and "alternating" in self.kind:
-                        raise InvalidSpec("alternating diagonal must be fixed to 0")
+        self.fixed_cells  # builds the fixed cells, refusing a spec they contradict
 
     def _all_dists(self):
         out = []
@@ -314,23 +297,39 @@ class ModelSpec:
     @cached_property
     def fixed_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and values of the cells that a draw does not take
-        from its entry laws: the alternating diagonal (0), the planted
-        corner, then each type-F entry and, on symmetric and alternating
-        kinds, its mirror image (negated on alternating kinds).  A later
-        write to the same cell wins, so every cell appears once."""
-        alt = "alternating" in self.kind
-        out: dict[tuple[int, int], int] = {(i, i): 0 for i in range(self.n)} if alt else {}
-        if self.planted is not None:
-            for r, row in enumerate(self.planted.to_lists()):
-                out.update(((r, c), v) for c, v in enumerate(row))
-        fixed = self.type_f.fixed_entries() if self.type_f is not None else {}
-        for (r, c), v in fixed.items():
-            out[r, c] = v
-            if self.kind not in ("iid-square", "iid-rect"):
-                out[c, r] = self.field.neg(v) if alt else v
-        rows = np.array([r for r, _ in out], dtype=np.intp)
-        cols = np.array([c for _, c in out], dtype=np.intp)
-        return rows, cols, np.array(list(out.values()), dtype=np.int64)
+        from its entry laws: the alternating diagonal (0), the planted corner
+        and each type-F entry, and on symmetric and alternating kinds the
+        mirror image of each (negated on alternating kinds).  validate()
+        ends by building it, which refuses F indices and values out of range,
+        F inside the planted corner, and a cell fixed to two values (so a
+        planted corner that is not symmetric, or not alternating)."""
+        f, alt = self.field, "alternating" in self.kind
+        rows, cols = self.shape
+        m0 = self.planted.rows if self.planted is not None else 0
+        writes = [(i, i, 0) for i in range(self.n)] if alt else []
+        writes += [(r, c, self.planted.get(r, c)) for r in range(m0) for c in range(m0)]
+        sets = self.type_f.sets if self.type_f is not None else ()
+        if len(sets) > cols:
+            raise InvalidSpec("more F sets than columns")
+        for c, rset in enumerate(sets):
+            for idx, r in enumerate(rset):
+                v = self.type_f.values[c][idx] if self.type_f.values else 0
+                if not (_is_int(r) and 0 <= r < rows):
+                    raise InvalidSpec("F index out of range or not an integer")
+                if not (_is_int(v) and 0 <= v < f.q):
+                    raise InvalidSpec("fixed value out of range or not an integer")
+                if r < m0 and c < m0:
+                    raise InvalidSpec("F entry inside the planted corner")
+                writes.append((r, c, v))
+        if self.kind not in ("iid-square", "iid-rect"):
+            writes += [(c, r, f.neg(v) if alt else v) for r, c, v in writes]
+        out: dict[tuple[int, int], int] = {}
+        for r, c, v in writes:
+            if out.setdefault((r, c), v) != v:
+                raise InvalidSpec(f"cell ({r}, {c}) is fixed to both {out[r, c]} and {v}")
+        return (np.array([r for r, _ in out], dtype=np.intp),
+                np.array([c for _, c in out], dtype=np.intp),
+                np.array(list(out.values()), dtype=np.int64))
 
     # -- JSON -----------------------------------------------------------------
 
@@ -454,7 +453,12 @@ def sample(spec: ModelSpec, seed: int, trial: int = 0) -> FqMatrix:
 
 def sample_gl(n: int, f: Field, seed: int, trial: int = 0) -> FqMatrix:
     """A uniformly distributed element of GL_n(F_q): the same draw as
-    sample of a uniform-gl spec with this (seed, trial)."""
+    sample of a uniform-gl spec with this (seed, trial).  It refuses every
+    n that ModelSpec refuses, without building one per draw."""
+    if not _is_int(n) or n < 1:
+        raise InvalidSpec("n must be an integer >= 1")
+    if n * n > MAX_ENTRIES:
+        raise TooLarge(f"a {n}x{n} matrix exceeds the cap of 2^22 entries")
     return _as_matrix(f, full_rank_stack([derive_rng(seed, trial)], n, n, f.q)[0])
 
 

@@ -327,6 +327,11 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
     (None, ["dist", "alternating", "--q", "3", "--n", "3", "--parity", "odd"],
      "InvalidArgument"),
     (None, ["dist", "symmetric", "--q", "3", "--limit", "--parity", "even"], "InvalidArgument"),
+    # an iid-column codimension above n, and a cell fixed with its mirror to two values
+    (None, ["chain", "iid-column", "--q", "3", "--n", "3", "--x0", "5", "--steps", "10",
+            "--hit-zero"], "InvalidArgument"),
+    ({"kind": "symmetric", "q": 5, "n": 3, "F": [[1], [0]], "F_values": [[2], [3]]},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"
@@ -349,6 +354,26 @@ def test_unwritable_csv_exits_2(tmp_path, capsys, argv):
              "DIR": str(tmp_path)}
     assert main([paths.get(a, a) for a in argv]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize("spec, opts, error", [
+    ({"kind": "iid-square", "q": 4, "n": 4}, ["--ref", "alternating"], "EvenCharacteristic"),
+    ({"kind": "iid-square", "q": 3, "n": 4}, ["--csv", "MISSING"], "InvalidArgument"),
+])
+def test_mc_refuses_bad_ref_and_csv_before_the_run(tmp_path, capsys, monkeypatch, spec,
+                                                   opts, error):
+    from fqrank import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("mc_corank ran before the input was refused")
+
+    monkeypatch.setattr(harness, "mc_corank", no_run)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    missing = str(tmp_path / "no" / "dir" / "x.csv")
+    argv = ["mc", str(path), "--trials", "4000", "--seed", "1"]
+    assert main(argv + [missing if a == "MISSING" else a for a in opts]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_deeply_nested_spec_exits_2(tmp_path, capsys):

@@ -208,6 +208,54 @@ def test_fixed_cells_hold_every_cell_not_drawn_from_a_law():
     assert all(a.size == 0 for a in ModelSpec(kind="symmetric", field=F3, n=3).fixed_cells)
 
 
+def test_fixed_cells_built_with_the_spec():
+    spec = ModelSpec(kind="symmetric", field=F5, n=3, type_f=TypeFSpec(((1,),), ((2,),)))
+    assert "fixed_cells" in spec.__dict__
+
+
+@pytest.mark.parametrize("kind, tf, cells", [
+    # a cell listed together with its mirror at the mirror's value (negated on
+    # alternating kinds), and one F column listing a row twice with one value
+    ("symmetric", TypeFSpec(((1,), (0,)), ((2,), (2,))), {(1, 0): 2, (0, 1): 2}),
+    ("alternating", TypeFSpec(((1,), (0,)), ((2,), (3,))), {(1, 0): 2, (0, 1): 3}),
+    ("iid-square", TypeFSpec(((1, 1),), ((2, 2),)), {(1, 0): 2}),
+])
+def test_fixed_cell_listed_with_its_mirror_value_accepted(kind, tf, cells):
+    spec = ModelSpec(kind=kind, field=F5, n=3, type_f=tf)
+    rows, cols, vals = spec.fixed_cells
+    fixed = dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+    assert {k: v for k, v in fixed.items() if k[0] != k[1]} == cells
+    for t in range(3):
+        assert all(sample(spec, 5, t).get(r, c) == v for (r, c), v in cells.items())
+
+
+@pytest.mark.parametrize("kind, extra", [
+    # refused before fixed cells became one pass
+    ("alternating", {"type_f": TypeFSpec(((0,),), ((1,),))}),  # nonzero on the diagonal
+    ("planted-symmetric", {"planted": [[1, 2], [1, 0]]}),  # corner not symmetric
+    ("planted-alternating", {"planted": [[0, 1], [1, 0]]}),  # corner not alternating
+    ("planted-alternating", {"planted": [[1, 1], [2, 0]]}),  # nor with a nonzero diagonal
+    ("alternating", {"overrides": ((1, 1),)}),  # override of the diagonal
+    ("planted-symmetric", {"planted": [[1, 2], [2, 1]], "overrides": ((0, 1),)}),
+    ("planted-symmetric", {"planted": [[1, 2], [2, 1]],  # F inside the corner,
+                           "type_f": TypeFSpec(((1,),), ((2,),))}),  # even at its value
+    # a cell fixed to two values
+    ("symmetric", {"type_f": TypeFSpec(((1,), (0,)), ((2,), (3,)))}),
+    ("alternating", {"type_f": TypeFSpec(((1,), (0,)), ((2,), (2,)))}),
+    ("planted-symmetric", {"planted": [[1, 2], [2, 1]],
+                           "type_f": TypeFSpec(((), (), (3,), (2,)), ((), (), (1,), (2,)))}),
+    ("iid-square", {"type_f": TypeFSpec(((1, 1),), ((1, 2),))}),
+])
+def test_fixed_cell_conflicts_refused(kind, extra):
+    if "planted" in extra:
+        extra = {**extra, "planted": FqMatrix.from_rows(F5, extra["planted"])}
+    if "overrides" in extra:
+        extra = {**extra, "overrides": tuple((i, j, uniform_entry_dist(F5))
+                                             for i, j in extra["overrides"])}
+    with pytest.raises(InvalidSpec):
+        ModelSpec(kind=kind, field=F5, n=4, **extra)
+
+
 def test_entry_law_denominator_cap():
     third = Fraction(1, 999999999989)
     fourth = Fraction(1, 999999999961)
@@ -403,6 +451,17 @@ def test_sample_gl_invertible():
             assert sample_gl(n, f, 13, t).rank() == n
 
 
+@pytest.mark.parametrize("n, error", [
+    (-1, InvalidSpec), (0, InvalidSpec), (2.5, InvalidSpec), (True, InvalidSpec),
+    (2049, TooLarge),
+])
+def test_sample_gl_refuses_what_model_spec_refuses(n, error):
+    with pytest.raises(error):
+        ModelSpec(kind="uniform-gl", field=F2, n=n)
+    with pytest.raises(error):
+        sample_gl(n, F2, 0)
+
+
 def test_sample_gl_lone_draws_uniform_on_gl2_f3():
     # chi-square of lone sample_gl draws against the 48 elements of GL_2(F_3)
     from scipy.stats import chi2
@@ -499,12 +558,12 @@ def test_corank_of_sample_matches_sample():
         alt = FqMatrix.from_rows(f, [[0, 1], [f.neg(1), 0]])
         nonzero = near_uniform_dist(f, {0})
         one = EntryDist(tuple(Fraction(int(v == 1)) for v in range(q)))
-        # two overrides of one mirrored cell (the later wins), nonzero
-        # fixed values, and a fixed cell listed together with its mirror
+        # two overrides of one mirrored cell (the later wins), nonzero fixed
+        # values, and a fixed cell listed together with its mirror's value
         over = ((0, 3, nonzero), (3, 0, one), (1, 2, one))
-        tf = TypeFSpec(((1, 2), (0,), (), (2,)), ((1, q - 1), (2,), (), (0,)))
+        tf = TypeFSpec(((1, 2), (0,), (), (2,)), ((1, q - 1), (1,), (), (0,)))
         # the same kinds of fixed cells outside the 2x2 planted corner
-        planted_tf = TypeFSpec(((2, 3), (), (3,), (2,)), ((1, q - 1), (), (2,), (0,)))
+        planted_tf = TypeFSpec(((2, 3), (), (3,), (2,)), ((1, q - 1), (), (2,), (2,)))
         specs = [ModelSpec(kind="iid-square", field=f, n=4),
                  ModelSpec(kind="iid-rect", field=f, n=3, m=2),
                  ModelSpec(kind="symmetric", field=f, n=4),
