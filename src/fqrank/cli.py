@@ -38,11 +38,12 @@ SUITES = tuple(dict.fromkeys(g.suite for g in harness.CHECKS.values()))
 
 
 def _open_csv(path: str | None):
-    """The --csv file, opened for writing; a null context without one."""
+    """The --csv file, opened to append so that a run refused before
+    _write_csv keeps its content; a null context without one."""
     if not path:
         return nullcontext()
     try:
-        return open(path, "w", newline="")
+        return open(path, "a", newline="")
     except OSError as exc:
         raise InvalidArgument(f"cannot write --csv file: {exc}") from None
 
@@ -51,6 +52,7 @@ def _write_csv(fh, pmf: CorankPMF) -> None:
     if fh is None:
         return
     try:
+        fh.truncate(0)
         w = csv.writer(fh)
         w.writerow(["corank", "mass_num", "mass_den"])
         for k, mass in pmf.support:

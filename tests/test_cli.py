@@ -376,6 +376,18 @@ def test_mc_refuses_bad_ref_and_csv_before_the_run(tmp_path, capsys, monkeypatch
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+def test_refused_mc_run_keeps_the_csv_file(tmp_path, capsys):
+    # --csv is opened before the run, but written only after it
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "iid-square", "q": 3, "n": 2}))
+    out = tmp_path / "pmf.csv"
+    out.write_text("kept\n")
+    assert main(["mc", str(spec), "--trials", "0", "--seed", "1", "--csv", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    assert main(["mc", str(spec), "--trials", "10", "--seed", "1", "--csv", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "corank,mass_num,mass_den"
+
+
 def test_deeply_nested_spec_exits_2(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
