@@ -30,7 +30,7 @@ from .distributions import LAW_KINDS, CorankPMF, int_str, limit_pmf, uniform_pmf
 from .errors import FqRankError, InvalidArgument
 from .field import field_new
 from .matrix import dumps_matrix
-from .models import GL_KINDS, ModelSpec, sample, validate_conditions
+from .models import GL_KINDS, EntryDist, ModelSpec, sample, validate_conditions
 from . import chain as chain_mod
 from . import harness
 
@@ -195,15 +195,10 @@ def cmd_structure(args) -> int:
         raise InvalidArgument("--vector must be comma-separated integers") from None
     if spec.kind in GL_KINDS or spec.kind.startswith("planted"):
         raise InvalidArgument(f"{spec.kind} entries have no per-entry laws")
-    # column 0's entry laws and fixed rows as sample_stack draws them: mirrored kinds
-    # copy cell (0, i) to (i, 0), negated if alternating, which keeps every |f|
-    mirrored = spec.kind not in ("iid-square", "iid-rect")
-    drawn = {(min(i, j), max(i, j)) if mirrored else (i, j): d
-             for i, j, d in spec.overrides}
-    dists = [drawn.get((0, i) if mirrored else (i, 0), spec.default_dist())
-             for i in range(spec.shape[0])]
-    rows, cols, _ = spec.fixed_cells
-    F = set(rows[cols == 0].tolist())
+    # a mirrored (i, 0) has the source of (0, i); a negated draw keeps every |f|
+    col0 = [spec.cell_sources.get((i, 0), spec.default_dist()) for i in range(spec.shape[0])]
+    F = {i for i, s in enumerate(col0) if not isinstance(s, EntryDist)}
+    dists = [spec.default_dist() if i in F else s for i, s in enumerate(col0)]
     if len(a) != len(dists):
         raise InvalidArgument(f"--vector has {len(a)} coordinates; the spec's "
                               f"columns have {len(dists)}")

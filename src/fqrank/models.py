@@ -102,6 +102,9 @@ class EntryDist:
         if sum(self.probs) != 1:
             raise InvalidSpec("entry probabilities must sum to 1")
 
+    def __str__(self) -> str:
+        return f"the law ({', '.join(map(str, self.probs))})"
+
     @property
     def q(self) -> int:
         return len(self.probs)
@@ -211,6 +214,9 @@ def band_type_f(n: int, alpha: float) -> TypeFSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A matrix model.  On mirrored kinds an override of (i, j) is drawn at
+    (min(i, j), max(i, j)) and copied to the lower cell, negated if alternating."""
+
     kind: str
     field: Field
     n: int
@@ -258,30 +264,18 @@ class ModelSpec:
                                       or self.type_f is not None):
             raise InvalidSpec("GL kinds draw uniformly from GL_n; entries, overrides "
                               "and F not allowed")
-        for d in self._all_dists():
+        for d in filter(None, (self.entries, *(d for _, _, d in self.overrides))):
             if d.q != f.q:
                 raise InvalidSpec("entry distribution length != q (distribution sum)")
             if d.denominator > MAX_DENOMINATOR:
                 raise TooLarge("an entry law's common denominator exceeds 2^63 - 1")
         rows, cols = self.shape
-        m0 = self.planted.rows if self.kind.startswith("planted") else 0
         if rows * cols > MAX_ENTRIES:
             raise TooLarge(f"a {rows}x{cols} matrix exceeds the cap of 2^22 entries")
         for i, j, _ in self.overrides:
             if not (_is_int(i) and _is_int(j) and 0 <= i < rows and 0 <= j < cols):
                 raise InvalidSpec("override index out of range or not an integer")
-            if i == j and "alternating" in self.kind:
-                raise InvalidSpec("alternating diagonal cannot be overridden")
-            if i < m0 and j < m0:
-                raise InvalidSpec("override inside the planted corner")
-        self.fixed_cells  # builds the fixed cells, refusing a spec they contradict
-
-    def _all_dists(self):
-        out = []
-        if self.entries is not None:
-            out.append(self.entries)
-        out.extend(d for _, _, d in self.overrides)
-        return out
+        self.fixed_cells  # builds the cell sources, refusing a spec they contradict
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -295,14 +289,12 @@ class ModelSpec:
         return self.entries if self.entries is not None else uniform_entry_dist(self.field)
 
     @cached_property
-    def fixed_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of the cells that a draw does not take
-        from its entry laws: the alternating diagonal (0), the planted corner
-        and each type-F entry, and on symmetric and alternating kinds the
-        mirror image of each (negated on alternating kinds).  validate()
-        ends by building it, which refuses F indices and values out of range,
-        F inside the planted corner, and a cell fixed to two values (so a
-        planted corner that is not symmetric, or not alternating)."""
+    def cell_sources(self) -> dict[tuple[int, int], int | EntryDist]:
+        """Each cell not drawn from default_dist(), mapped to its one source: a
+        fixed value (the alternating diagonal's 0, the planted corner, an F
+        entry) or an override's law, and on mirrored kinds its mirror image
+        (a fixed value negated if alternating).  Refuses F out of range or
+        inside the planted corner, and a cell with two different sources."""
         f, alt = self.field, "alternating" in self.kind
         rows, cols = self.shape
         m0 = self.planted.rows if self.planted is not None else 0
@@ -321,15 +313,23 @@ class ModelSpec:
                 if r < m0 and c < m0:
                     raise InvalidSpec("F entry inside the planted corner")
                 writes.append((r, c, v))
+        writes += self.overrides
         if self.kind not in ("iid-square", "iid-rect"):
-            writes += [(c, r, f.neg(v) if alt else v) for r, c, v in writes]
-        out: dict[tuple[int, int], int] = {}
+            writes += [(c, r, v if isinstance(v, EntryDist) or not alt else f.neg(v))
+                       for r, c, v in writes]
+        out: dict[tuple[int, int], int | EntryDist] = {}
         for r, c, v in writes:
             if out.setdefault((r, c), v) != v:
-                raise InvalidSpec(f"cell ({r}, {c}) is fixed to both {out[r, c]} and {v}")
-        return (np.array([r for r, _ in out], dtype=np.intp),
-                np.array([c for _, c in out], dtype=np.intp),
-                np.array(list(out.values()), dtype=np.int64))
+                raise InvalidSpec(f"cell ({r}, {c}) is given both {out[r, c]} and {v}")
+        return out
+
+    @cached_property
+    def fixed_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the fixed values in cell_sources."""
+        fixed = {k: v for k, v in self.cell_sources.items() if not isinstance(v, EntryDist)}
+        return (np.array([r for r, _ in fixed], dtype=np.intp),
+                np.array([c for _, c in fixed], dtype=np.intp),
+                np.array(list(fixed.values()), dtype=np.int64))
 
     # -- JSON -----------------------------------------------------------------
 
@@ -342,11 +342,10 @@ class ModelSpec:
             obj["m"] = self.m
         if self.n_prime is not None:
             obj["n_prime"] = self.n_prime
-        if self.entries is not None or self.overrides:
-            obj["entries"] = {
-                "default": dist_list(self.default_dist()),
-                "overrides": [[i, j, dist_list(d)] for i, j, d in self.overrides],
-            }
+        entries = {"default": dist_list(self.entries)} if self.entries is not None else {}
+        if entries or self.overrides:
+            obj["entries"] = {**entries,
+                              "overrides": [[i, j, dist_list(d)] for i, j, d in self.overrides]}
         if self.type_f is not None:
             obj["F"] = [list(s) for s in self.type_f.sets]
             if self.type_f.values is not None:
@@ -368,6 +367,7 @@ class ModelSpec:
 
     @staticmethod
     def _from_obj(obj: dict) -> "ModelSpec":
+        _refuse_unknown_keys(obj, _SPEC_KEYS)
         if not _is_int(obj["q"]):  # field_new(3.0) could return the cached Field(3)
             raise InvalidSpec("q must be an integer")
         f = field_new(obj["q"])
@@ -391,6 +391,7 @@ class ModelSpec:
         entries, overrides = None, ()
         if "entries" in obj:
             e = obj["entries"]
+            _refuse_unknown_keys(e, ("default", "overrides"), " under entries")
             if "default" in e and e["default"] is not None:
                 entries = parse_dist(e["default"])
             overrides = tuple((i, j, parse_dist(d)) for i, j, d in e.get("overrides", []))
@@ -407,6 +408,17 @@ class ModelSpec:
             n_prime=obj.get("n_prime"),
             entries=entries, overrides=overrides, type_f=type_f, planted=planted,
         )
+
+
+_SPEC_KEYS = ("kind", "q", "n", "m", "n_prime", "entries", "F", "F_values", "planted")
+
+
+def _refuse_unknown_keys(obj: dict, known, where: str = "") -> None:
+    """A misspelt key would be read as absent, so a key outside the schema
+    that to_json writes is refused."""
+    unknown = sorted(map(repr, obj.keys() - set(known)))
+    if unknown:
+        raise InvalidSpec(f"unknown key {', '.join(unknown)}{where}")
 
 
 # ---------------------------------------------------------------------------

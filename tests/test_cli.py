@@ -332,6 +332,26 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
             "--hit-zero"], "InvalidArgument"),
     ({"kind": "symmetric", "q": 5, "n": 3, "F": [[1], [0]], "F_values": [[2], [3]]},
      ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    # keys outside the schema, which would be read as absent
+    ({"kind": "iid-square", "q": 3, "n": 2, "entires": {"default": ["1", "0", "0"]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "iid-square", "q": 3, "n": 2, "F": [[1]], "F_vals": [[2]]},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "iid-square", "q": 3, "n": 2, "overrides": [[0, 0, ["1", "0", "0"]]]},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "iid-square", "q": 3, "n": 2, "entries": {"defaults": ["1", "0", "0"]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    # a cell with two sources: an override of an F cell, two laws for one cell,
+    # and two laws for a cell and its mirror
+    ({"kind": "iid-square", "q": 3, "n": 2, "F": [[0]], "F_values": [[2]],
+      "entries": {"overrides": [[0, 0, ["1", "0", "0"]]]}},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "iid-square", "q": 3, "n": 2,
+      "entries": {"overrides": [[0, 1, ["1", "0", "0"]], [0, 1, ["0", "1", "0"]]]}},
+     ["mc", "SPEC", "--trials", "10", "--seed", "1"], "InvalidSpec"),
+    ({"kind": "symmetric", "q": 3, "n": 3,
+      "entries": {"overrides": [[0, 1, ["1", "0", "0"]], [1, 0, ["0", "1", "0"]]]}},
+     ["structure", "SPEC", "--vector", "1,1,1"], "InvalidSpec"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

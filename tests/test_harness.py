@@ -92,9 +92,9 @@ def _constrained_specs():
                   type_f=TypeFSpec(((1,), (), (1,)), ((1,), (), (1,)))),
         ModelSpec(kind="symmetric", field=F3, n=3, entries=near_uniform_dist(F3, {0}),
                   type_f=TypeFSpec(((1,), (), (0,)), ((2,), (), (1,)))),
-        # overrides of a mirrored cell, given below the diagonal, the later wins
+        # overrides of mirrored cells, given below the diagonal
         ModelSpec(kind="symmetric", field=F4, n=3,
-                  overrides=((2, 0, point(F4, 0)), (0, 1, point(F4, 1)), (1, 0, point(F4, 0))),
+                  overrides=((2, 0, point(F4, 0)), (1, 0, point(F4, 0))),
                   type_f=TypeFSpec(((), (), (1,)), ((), (), (3,)))),
         # alternating with fixed entries and an override (n = 4: at n = 3
         # these constraints leave corank 1 certain)

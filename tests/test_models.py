@@ -229,6 +229,10 @@ def test_fixed_cell_listed_with_its_mirror_value_accepted(kind, tf, cells):
         assert all(sample(spec, 5, t).get(r, c) == v for (r, c), v in cells.items())
 
 
+def _point5(v: int) -> EntryDist:
+    return EntryDist(tuple(Fraction(int(x == v)) for x in range(5)))
+
+
 @pytest.mark.parametrize("kind, extra", [
     # refused before fixed cells became one pass
     ("alternating", {"type_f": TypeFSpec(((0,),), ((1,),))}),  # nonzero on the diagonal
@@ -245,15 +249,39 @@ def test_fixed_cell_listed_with_its_mirror_value_accepted(kind, tf, cells):
     ("planted-symmetric", {"planted": [[1, 2], [2, 1]],
                            "type_f": TypeFSpec(((), (), (3,), (2,)), ((), (), (1,), (2,)))}),
     ("iid-square", {"type_f": TypeFSpec(((1, 1),), ((1, 2),))}),
+    # a cell with two sources: two laws, or a law and a fixed value
+    ("iid-square", {"overrides": ((2, 1), (2, 1, _point5(3)))}),
+    ("symmetric", {"overrides": ((2, 1), (1, 2, _point5(3)))}),  # a cell and its mirror
+    ("iid-square", {"type_f": TypeFSpec(((0,),), ((2,),)), "overrides": ((0, 0, _point5(0)),)}),
+    ("symmetric", {"type_f": TypeFSpec(((1,),), ((2,),)), "overrides": ((0, 1),)}),  # F's mirror
 ])
 def test_fixed_cell_conflicts_refused(kind, extra):
+    # an override given as (i, j) has the uniform law
     if "planted" in extra:
         extra = {**extra, "planted": FqMatrix.from_rows(F5, extra["planted"])}
     if "overrides" in extra:
-        extra = {**extra, "overrides": tuple((i, j, uniform_entry_dist(F5))
-                                             for i, j in extra["overrides"])}
+        extra = {**extra, "overrides": tuple(o if len(o) == 3 else (*o, uniform_entry_dist(F5))
+                                             for o in extra["overrides"])}
     with pytest.raises(InvalidSpec):
         ModelSpec(kind=kind, field=F5, n=4, **extra)
+
+
+def test_two_sources_named_in_words():
+    with pytest.raises(InvalidSpec, match=r"cell \(0, 0\) is given both 2 and "
+                                          r"the law \(1, 0, 0\)$"):
+        ModelSpec(kind="iid-square", field=F3, n=2, type_f=TypeFSpec(((0,),), ((2,),)),
+                  overrides=((0, 0, EntryDist((Fraction(1), Fraction(0), Fraction(0)))),))
+
+
+def test_override_listed_with_its_mirror_law_accepted():
+    law = _point5(3)
+    spec = ModelSpec(kind="symmetric", field=F5, n=3, overrides=((0, 2, law), (2, 0, law)),
+                     type_f=TypeFSpec(((1,),), ((4,),)))
+    assert spec.cell_sources == {(1, 0): 4, (0, 1): 4, (0, 2): law, (2, 0): law}
+    assert [a.tolist() for a in spec.fixed_cells] == [[1, 0], [0, 1], [4, 4]]
+    for t in range(3):
+        M = sample(spec, 5, t)
+        assert M.get(0, 2) == M.get(2, 0) == 3
 
 
 def test_entry_law_denominator_cap():
@@ -323,13 +351,14 @@ def test_model_spec_validation():
     with pytest.raises(InvalidSpec):
         ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner, entries=d)
     # what it would contradict: overrides and fixed entries inside the corner,
-    # in either triangle
+    # in either triangle, and an override of an F cell
     for bad in ({"overrides": ((1, 0, d),)}, {"overrides": ((0, 0, d),)},
-                {"type_f": TypeFSpec(((1,),))}, {"type_f": TypeFSpec(((), (0,)))}):
+                {"type_f": TypeFSpec(((1,),))}, {"type_f": TypeFSpec(((), (0,)))},
+                {"overrides": ((2, 0, d),), "type_f": TypeFSpec(((2,), (2,)))}):
         with pytest.raises(InvalidSpec):
             ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner, **bad)
     ModelSpec(kind="planted-symmetric", field=F3, n=3, planted=corner,
-              overrides=((2, 0, d),), type_f=TypeFSpec(((2,), (2,))))
+              overrides=((2, 2, d),), type_f=TypeFSpec(((2,), (2,))))
     # sizes and corners that only other kinds read
     for kind, bad in (("iid-square", {"m": 1}), ("symmetric", {"m": 2}),
                       ("uniform-gl", {"m": 1}), ("iid-square", {"n_prime": 2}),
@@ -388,6 +417,13 @@ def test_json_roundtrip():
     )
     again = ModelSpec.from_json(spec.to_json())
     assert again == spec
+    # overrides without a default law, on a kind that takes none and on one that does
+    for spec in (ModelSpec(kind="planted-symmetric", field=F3, n=3,
+                           planted=FqMatrix.from_rows(F3, [[1, 2], [2, 1]]),
+                           overrides=((2, 2, near_uniform_dist(F3, {0})),)),
+                 ModelSpec(kind="iid-square", field=F5, n=2, overrides=((1, 0, d),))):
+        again = ModelSpec.from_json(spec.to_json())
+        assert again == spec and again.entries is None
 
 
 def test_band_type_f():
@@ -558,9 +594,9 @@ def test_corank_of_sample_matches_sample():
         alt = FqMatrix.from_rows(f, [[0, 1], [f.neg(1), 0]])
         nonzero = near_uniform_dist(f, {0})
         one = EntryDist(tuple(Fraction(int(v == 1)) for v in range(q)))
-        # two overrides of one mirrored cell (the later wins), nonzero fixed
-        # values, and a fixed cell listed together with its mirror's value
-        over = ((0, 3, nonzero), (3, 0, one), (1, 2, one))
+        # two overrides of one mirrored cell with one law, nonzero fixed values,
+        # and a fixed cell listed together with its mirror's value
+        over = ((1, 3, nonzero), (3, 1, nonzero), (1, 2, one))
         tf = TypeFSpec(((1, 2), (0,), (), (2,)), ((1, q - 1), (1,), (), (0,)))
         # the same kinds of fixed cells outside the 2x2 planted corner
         planted_tf = TypeFSpec(((2, 3), (), (3,), (2,)), ((1, q - 1), (), (2,), (2,)))
