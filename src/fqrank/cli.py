@@ -30,7 +30,8 @@ from .distributions import LAW_KINDS, CorankPMF, int_str, limit_pmf, uniform_pmf
 from .errors import FqRankError, InvalidArgument
 from .field import field_new
 from .matrix import dumps_matrix
-from .models import GL_KINDS, EntryDist, ModelSpec, sample, validate_conditions
+from .models import (GL_KINDS, EntryDist, ModelSpec, corank_of_sample, sample,
+                     validate_conditions)
 from . import chain as chain_mod
 from . import harness
 
@@ -115,10 +116,9 @@ def cmd_sample(args) -> int:
     if not math.isfinite(args.alpha):
         raise InvalidArgument("--alpha must be finite")
     spec = _load_spec(args.spec)
-    M = sample(spec, args.seed, args.trial)
     out = {
-        "matrix": dumps_matrix(M),
-        "corank": M.rows - M.rank(),
+        "matrix": dumps_matrix(sample(spec, args.seed, args.trial)),
+        "corank": corank_of_sample(spec, args.seed, args.trial),
         "conditions": validate_conditions(spec, args.alpha),
     }
     _emit(out)

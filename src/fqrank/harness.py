@@ -41,7 +41,7 @@ from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
 from .errors import InvalidArgument, InvalidSpec, NotPrimePower, TooLargeToEnumerate
 from .field import Field, _factor_prime_power, field_new
 from .matrix import FqMatrix, rank_rows
-from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, band_type_f,
+from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, _is_int, band_type_f,
                      candidates_per_call, derive_rng, full_rank_stack,
                      near_uniform_dist, ranked_entries, sample_stack,
                      uniform_entry_dist)
@@ -146,8 +146,8 @@ def worker_count() -> int:
 def mc_corank(spec: ModelSpec, trials: int, seed: int,
               threads: int | None = None) -> MCResult:
     """Empirical corank PMF from `trials` independently keyed samples."""
-    if trials < 1:
-        raise InvalidSpec("trials must be >= 1")
+    if not (_is_int(trials) and trials >= 1):
+        raise InvalidSpec("trials must be an integer >= 1")
     threads = worker_count() if threads is None else max(1, threads)
     # a worker gets at least one block, so a one-block run stays serial
     threads = min(threads, math.ceil(trials / _block_size(ranked_entries(spec))))
@@ -441,30 +441,25 @@ def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> Verificatio
 def formula_enumeration_check(kind: str, n: int, f: Field, m: int = 0) -> VerificationReport:
     """Closed-form finite-n PMF against the weighted enumeration oracle;
     the two must agree as exact rationals."""
-    closed = uniform_pmf(kind, n, f, m)
-    spec = ModelSpec(kind=kind, field=f, n=n, m=m)
-    enum = brute_force_pmf(spec)
-    passed = dict(closed.support) == dict(enum.support)
-    return VerificationReport(
-        claim_id=f"formula-enum-{kind}-n{n}-q{f.q}" + (f"-m{m}" if kind == "iid-rect" else ""),
-        computed={"closed_form": closed.as_dict(), "enumeration": enum.as_dict()},
-        bounds={"equal": True},
-        passed=passed,
-    )
+    return _equal_laws_report(
+        f"formula-enum-{kind}-n{n}-q{f.q}" + (f"-m{m}" if kind == "iid-rect" else ""),
+        closed_form=uniform_pmf(kind, n, f, m),
+        enumeration=brute_force_pmf(ModelSpec(kind=kind, field=f, n=n, m=m)))
 
 
 def chain_consistency_check(kind: str, n: int, f: Field) -> VerificationReport:
     """evolve(delta_0, n) against the matching closed-form finite-n law."""
     spec = ChainSpec(kind, f, n=n if kind == "iid-column" else None)
-    closed = uniform_pmf(kind, n, f)
-    evolved = evolve(spec, delta_pmf(0), n)
-    passed = dict(evolved.support) == dict(closed.support)
-    return VerificationReport(
-        claim_id=f"chain-consistency-{kind}-n{n}-q{f.q}",
-        computed={"evolved": evolved.as_dict(), "closed_form": closed.as_dict()},
-        bounds={"equal": True},
-        passed=passed,
-    )
+    return _equal_laws_report(f"chain-consistency-{kind}-n{n}-q{f.q}",
+                              evolved=evolve(spec, delta_pmf(0), n),
+                              closed_form=uniform_pmf(kind, n, f))
+
+
+def _equal_laws_report(claim_id: str, **laws: CorankPMF) -> VerificationReport:
+    """Two exact laws, named in computed; passed iff they are equal."""
+    a, b = laws.values()
+    return VerificationReport(claim_id, {k: p.as_dict() for k, p in laws.items()},
+                              {"equal": True}, dict(a.support) == dict(b.support))
 
 
 def planted_tv_check(kind: str, x0: int, added_steps: int, f: Field) -> VerificationReport:
@@ -549,12 +544,8 @@ def unconc_uniform_suite(count: int, seed: int) -> VerificationReport:
         if not ok:
             failures.append({"instance": i, "q": q, "n": n, "d": d,
                              "lhs": float(lhs), "delta": float(delta)})
-    return VerificationReport(
-        claim_id=f"unconc-implies-uniform-suite-{count}",
-        computed={"instances": count, "failures": failures},
-        bounds={"failures": 0},
-        passed=not failures,
-    )
+    return _no_failures_report(f"unconc-implies-uniform-suite-{count}", failures,
+                               instances=count)
 
 
 def decoupling_suite(count: int, seed: int) -> VerificationReport:
@@ -574,12 +565,7 @@ def decoupling_suite(count: int, seed: int) -> VerificationReport:
         if not ok:
             failures.append({"instance": i, "q": q, "m": m,
                              "lhs4": float(lhs4), "rhs": float(rhs)})
-    return VerificationReport(
-        claim_id=f"decoupling-suite-{count}",
-        computed={"instances": count, "failures": failures},
-        bounds={"failures": 0},
-        passed=not failures,
-    )
+    return _no_failures_report(f"decoupling-suite-{count}", failures, instances=count)
 
 
 def threshold_parseval_check(q_max: int, seed: int = 0) -> VerificationReport:
@@ -607,12 +593,14 @@ def threshold_parseval_check(q_max: int, seed: int = 0) -> VerificationReport:
                 if len(T) > C * q / K**2 + SLACK:
                     failures.append({"q": q, "check": "threshold", "K": K,
                                      "size": len(T), "bound": C * q / K**2})
-    return VerificationReport(
-        claim_id=f"threshold-parseval-qmax{q_max}",
-        computed={"fields_checked": len(qs), "failures": failures},
-        bounds={"failures": 0},
-        passed=not failures,
-    )
+    return _no_failures_report(f"threshold-parseval-qmax{q_max}", failures,
+                               fields_checked=len(qs))
+
+
+def _no_failures_report(claim_id: str, failures: list, **computed) -> VerificationReport:
+    """Passed iff no instance failed; computed lists the failures last."""
+    return VerificationReport(claim_id, {**computed, "failures": failures},
+                              {"failures": 0}, not failures)
 
 
 def _is_prime_power(q: int) -> bool:

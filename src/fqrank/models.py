@@ -269,9 +269,9 @@ class ModelSpec:
                 raise InvalidSpec("entry distribution length != q (distribution sum)")
             if d.denominator > MAX_DENOMINATOR:
                 raise TooLarge("an entry law's common denominator exceeds 2^63 - 1")
+        # a GL kind draws the whole n x n element, of which gl-corner keeps a corner
+        _refuse_too_large(*((self.n, self.n) if self.kind in GL_KINDS else self.shape))
         rows, cols = self.shape
-        if rows * cols > MAX_ENTRIES:
-            raise TooLarge(f"a {rows}x{cols} matrix exceeds the cap of 2^22 entries")
         for i, j, _ in self.overrides:
             if not (_is_int(i) and _is_int(j) and 0 <= i < rows and 0 <= j < cols):
                 raise InvalidSpec("override index out of range or not an integer")
@@ -396,12 +396,12 @@ class ModelSpec:
                 entries = parse_dist(e["default"])
             overrides = tuple((i, j, parse_dist(d)) for i, j, d in e.get("overrides", []))
         type_f = None
+        values = obj.get("F_values")
+        if values is not None and "F" not in obj:
+            raise InvalidSpec("F_values needs F: it gives the values of F's cells")
         if "F" in obj:
             sets = tuple(tuple(s) for s in obj["F"])
-            values = None
-            if "F_values" in obj and obj["F_values"] is not None:
-                values = tuple(tuple(vs) for vs in obj["F_values"])
-            type_f = TypeFSpec(sets, values)
+            type_f = TypeFSpec(sets, None if values is None else tuple(map(tuple, values)))
         planted = loads_matrix(obj["planted"]) if obj.get("planted") is not None else None
         return ModelSpec(
             kind=obj["kind"], field=f, n=obj["n"], m=obj.get("m", 0),
@@ -469,9 +469,13 @@ def sample_gl(n: int, f: Field, seed: int, trial: int = 0) -> FqMatrix:
     n that ModelSpec refuses, without building one per draw."""
     if not _is_int(n) or n < 1:
         raise InvalidSpec("n must be an integer >= 1")
-    if n * n > MAX_ENTRIES:
-        raise TooLarge(f"a {n}x{n} matrix exceeds the cap of 2^22 entries")
+    _refuse_too_large(n, n)
     return _as_matrix(f, full_rank_stack([derive_rng(seed, trial)], n, n, f.q)[0])
+
+
+def _refuse_too_large(rows: int, cols: int) -> None:
+    if rows * cols > MAX_ENTRIES:
+        raise TooLarge(f"a {rows}x{cols} matrix exceeds the cap of 2^22 entries")
 
 
 def _as_matrix(f: Field, arr: np.ndarray) -> FqMatrix:

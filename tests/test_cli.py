@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fqrank.cli import main
+from fqrank.matrix import FqMatrix, loads_matrix
 
 
 def run(capsys, *args):
@@ -67,6 +68,40 @@ def test_sample_subcommand(tmp_path, capsys):
     assert code == 0
     assert obj["matrix"].startswith("3 3 3")
     assert obj["conditions"]["all_ok"]
+
+
+def test_sample_corank_comes_from_the_stack_kernel(tmp_path, capsys, monkeypatch):
+    # the scalar FqMatrix elimination checks each corank, then is made to
+    # raise: fqrank sample must not call it, and prints the same output
+    path = tmp_path / "spec.json"
+    specs = [{"kind": "symmetric", "q": 3, "n": 5},
+             {"kind": "iid-rect", "q": 5, "n": 3, "m": 2},
+             {"kind": "alternating", "q": 9, "n": 4, "F": [[1]], "F_values": [[2]]},
+             {"kind": "gl-corner", "q": 4, "n": 4, "n_prime": 2},
+             {"kind": "planted-symmetric", "q": 2, "n": 3, "planted": "2 2 2 1 1 1 0"}]
+    argvs = [["sample", str(path), "--seed", str(seed), "--trial", str(trial)]
+             for seed, trial in ((1, 0), (7, 3))]
+
+    def outputs():
+        out = []
+        for spec in specs:
+            path.write_text(json.dumps(spec))
+            for argv in argvs:
+                assert main(argv) == 0
+                out.append(capsys.readouterr().out)
+        return out
+
+    before = outputs()
+    for out in before:
+        obj = json.loads(out)
+        assert obj["corank"] == loads_matrix(obj["matrix"]).corank()
+
+    def scalar_rank(self):
+        raise AssertionError("fqrank sample ranked with FqMatrix")
+
+    monkeypatch.setattr(FqMatrix, "rank", scalar_rank)
+    monkeypatch.setattr(FqMatrix, "corank", scalar_rank)
+    assert outputs() == before
 
 
 def test_mc_subcommand_with_reference(tmp_path, capsys):
@@ -352,6 +387,12 @@ _BIG_DENOMINATOR = {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default":
     ({"kind": "symmetric", "q": 3, "n": 3,
       "entries": {"overrides": [[0, 1, ["1", "0", "0"]], [1, 0, ["0", "1", "0"]]]}},
      ["structure", "SPEC", "--vector", "1,1,1"], "InvalidSpec"),
+    # a GL draw of n x n entries above the cap, though its corner is 3 x 3,
+    # and fixed values with no F cells to hold them
+    ({"kind": "gl-corner", "q": 2, "n": 4194304, "n_prime": 3},
+     ["sample", "SPEC", "--seed", "1"], "TooLarge"),
+    ({"kind": "iid-square", "q": 3, "n": 2, "F_values": [[2]]},
+     ["sample", "SPEC", "--seed", "1"], "InvalidSpec"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, spec, argv, error):
     path = tmp_path / "spec.json"

@@ -31,8 +31,9 @@ def _or_any(strategy):
 
 
 # Spec-shaped objects reach past the first missing key.  Sizes (n, m) are
-# either small or beyond the ModelSpec cap of 2^22 entries for every n >= 1:
-# a valid spec of a few thousand rows would only make the CLI slow.
+# either small or beyond the ModelSpec cap of 2^22 entries for every n >= 1
+# (on GL kinds, a cap on the whole n x n draw, whatever n_prime is): a valid
+# spec of a few thousand rows would only make the CLI slow.
 small = st.integers(-2, 6)
 size = small | st.integers(min_value=2**22, max_value=2**70) | st.just(float("inf"))
 prob = (st.sampled_from(["1/2", "1/3", "0", "1", "-1/2", "x", "1/0", "0/0", "1e-3",
@@ -85,6 +86,7 @@ def test_loads_matrix_fuzz(text):
        | (json_values | spec_like).map(lambda o: json.dumps(o).encode()))
 @example(contents=b"\x80")
 @example(contents=b'{"kind": "iid-square", "q": 2, "n": 4294967296}')
+@example(contents=b'{"kind": "gl-corner", "q": 2, "n": 4194304, "n_prime": 3}')
 @example(contents=json.dumps(  # an entry law whose common denominator exceeds 2^63 - 1
     {"kind": "iid-square", "q": 3, "n": 3, "entries": {"default": [
         "1/999999999989", "1/999999999961",

@@ -8,7 +8,7 @@ import pytest
 from fqrank import harness
 from fqrank.chain import ChainSpec, enumerate_positive_paths
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
-from fqrank.errors import InvalidArgument, TooLargeToEnumerate
+from fqrank.errors import InvalidArgument, InvalidSpec, TooLargeToEnumerate
 from fqrank.field import field_new
 from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
                             chain_consistency_check, decoupling_suite, fg_sandwich_check,
@@ -173,6 +173,13 @@ def test_mc_corank_gl_counts_do_not_depend_on_blocks(monkeypatch):
     for spec in specs:
         assert mc_corank(spec, 30, seed=6).counts == Counter(expected[spec][:30])
     assert max(ranked) <= 4800
+
+
+@pytest.mark.parametrize("trials", [2.5, True, 3.0, "3", None, 0, -1])
+def test_mc_corank_refuses_trials_that_are_not_an_integer(trials):
+    spec = ModelSpec(kind="iid-square", field=F3, n=2)
+    with pytest.raises(InvalidSpec, match="trials must be an integer >= 1"):
+        mc_corank(spec, trials, 1)
 
 
 def test_mc_corank_one_block_stays_serial(monkeypatch):

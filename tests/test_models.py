@@ -573,6 +573,29 @@ def test_gl_stack_is_first_full_rank_candidate_per_stream():
             assert np.array_equal(stack, np.stack(singles)), (q, n, spec.kind)
 
 
+def test_gl_kinds_cap_the_whole_draw():
+    # gl-corner keeps an n' x n' corner of an n x n draw; the cap is on the draw.
+    # These specs are only built, never sampled.
+    for kind, extra in (("uniform-gl", {}), ("gl-minus-identity", {}),
+                        ("gl-corner", {"n_prime": 1})):
+        with pytest.raises(TooLarge):
+            ModelSpec(kind=kind, field=F2, n=2049, **extra)
+        assert ModelSpec(kind=kind, field=F2, n=2048, **extra).n == 2048
+    with pytest.raises(TooLarge):
+        ModelSpec.from_json('{"kind": "gl-corner", "q": 2, "n": 4194304, "n_prime": 3}')
+
+
+def test_f_values_need_f():
+    with pytest.raises(InvalidSpec, match="F_values"):
+        ModelSpec.from_json('{"kind": "iid-square", "q": 3, "n": 2, "F_values": [[2]]}')
+    plain = ModelSpec(kind="iid-square", field=F3, n=2)
+    assert ModelSpec.from_json(
+        '{"kind": "iid-square", "q": 3, "n": 2, "F_values": null}') == plain
+    assert ModelSpec.from_json(
+        '{"kind": "iid-square", "q": 3, "n": 2, "F": [[1]], "F_values": null}'
+    ) == ModelSpec(kind="iid-square", field=F3, n=2, type_f=TypeFSpec(((1,),)))
+
+
 def test_gl_minus_identity_1x1_f2():
     spec = ModelSpec(kind="gl-minus-identity", field=F2, n=1)
     for t in range(4):
