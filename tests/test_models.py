@@ -581,8 +581,6 @@ def test_gl_kinds_cap_the_whole_draw():
         with pytest.raises(TooLarge):
             ModelSpec(kind=kind, field=F2, n=2049, **extra)
         assert ModelSpec(kind=kind, field=F2, n=2048, **extra).n == 2048
-    with pytest.raises(TooLarge):
-        ModelSpec.from_json('{"kind": "gl-corner", "q": 2, "n": 4194304, "n_prime": 3}')
 
 
 def test_f_values_need_f():
