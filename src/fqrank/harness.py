@@ -148,7 +148,10 @@ def mc_corank(spec: ModelSpec, trials: int, seed: int,
     """Empirical corank PMF from `trials` independently keyed samples."""
     if not (_is_int(trials) and trials >= 1):
         raise InvalidSpec("trials must be an integer >= 1")
-    threads = worker_count() if threads is None else max(1, threads)
+    if threads is None:
+        threads = worker_count()
+    elif not (_is_int(threads) and threads >= 1):
+        raise InvalidArgument(f"threads must be an integer >= 1, not {threads!r}")
     # a worker gets at least one block, so a one-block run stays serial
     threads = min(threads, math.ceil(trials / _block_size(ranked_entries(spec))))
     if threads == 1:
@@ -195,7 +198,14 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
     e = len(positions)
     if f.q**e > 10**7:
         raise TooLargeToEnumerate(f"q^{e} assignments exceed the guard")
-    over = {(min(i, j), max(i, j)) if mirror else (i, j): d for i, j, d in spec.overrides}
+    # an override below the diagonal is read at its mirror, negated if alternating
+    over = {}
+    for i, j, d in spec.overrides:
+        if mirror and i > j:
+            i, j = j, i
+            if alt:
+                d = EntryDist(tuple(d.probs[f.neg(v)] for v in range(f.q)))
+        over[i, j] = d
     dists = [over.get(pos, spec.default_dist()) for pos in positions]
     # integer weights over each law's own denominator, divided out once at the end
     supports = [[(v, w) for v, w in enumerate(d.numerators) if w] for d in dists]
@@ -291,36 +301,26 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
     Route one enumerates the q^(n(n-1)/2) off-diagonal assignments through the
     fixed-entry (type-F diagonal) machinery; route two writes the same
     assignments straight into a symmetric grid with a zero diagonal.  The
-    full-rank count of size n-1 symmetric matrices, over its q^(n(n-1)/2)
-    upper triangles, is reported alongside: it coincides with the
-    zero-diagonal count exactly when n is even.  One guard covers all three
-    enumerations."""
+    full-rank count of size n-1 symmetric matrices (1 at size 0, the empty
+    matrix), over its q^(n(n-1)/2) upper triangles, comes from the
+    closed-form law that criterion 1 checks against enumeration.  For even n
+    it equals the zero-diagonal count, and passing requires that too."""
     q = f.q
-    if q ** (n * (n - 1) // 2) > 10**7:
-        raise TooLargeToEnumerate("enumeration guard exceeded")
-
-    def count_symmetric(size: int, zero_diag: bool) -> int:
-        pairs = [(i, j) for i in range(size)
-                 for j in range(i + (1 if zero_diag else 0), size)]
-        count = 0
-        grid = [0] * (size * size)
-        for assignment in product(range(q), repeat=len(pairs)):
-            for (i, j), v in zip(pairs, assignment):
-                grid[i * size + j] = grid[j * size + i] = v
-            count += rank_rows([grid[i * size:(i + 1) * size] for i in range(size)],
-                               f) == size
-        return count
-
-    # route one: PMF of the symmetric model with a fixed zero diagonal,
-    # rescaled to a count over its q^(n(n-1)/2) free assignments
+    free = q ** (n * (n - 1) // 2)
+    # route one: PMF of the symmetric model with a fixed zero diagonal, rescaled
+    # to a count; its guard refuses more than 10^7 assignments for both routes
     diag_zeros = TypeFSpec(tuple((i,) for i in range(n)))
-    spec = ModelSpec(kind="symmetric", field=f, n=n, type_f=diag_zeros)
-    pmf = brute_force_pmf(spec)
-    via_type_f = pmf.mass(0) * q ** (n * (n - 1) // 2)
+    pmf = brute_force_pmf(ModelSpec(kind="symmetric", field=f, n=n, type_f=diag_zeros))
+    via_type_f = pmf.mass(0) * free
     # route two: the same assignments written straight into a zero-diagonal grid
-    direct = count_symmetric(n, zero_diag=True)
-    smaller = count_symmetric(n - 1, zero_diag=False)
-    passed = via_type_f == direct
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    grid, direct = [0] * (n * n), 0
+    for assignment in product(range(q), repeat=len(pairs)):
+        for (i, j), v in zip(pairs, assignment):
+            grid[i * n + j] = grid[j * n + i] = v
+        direct += rank_rows([grid[i * n:(i + 1) * n] for i in range(n)], f) == n
+    smaller = int(uniform_pmf("symmetric", n - 1, f).mass(0) * free) if n > 1 else 1
+    passed = via_type_f == direct and (n % 2 == 1 or direct == smaller)
     return VerificationReport(
         claim_id=f"zero-diag-count-n{n}-q{q}",
         computed={"via_type_f": int(via_type_f), "direct": direct,
@@ -328,7 +328,7 @@ def zero_diag_count_check(n: int, f: Field) -> VerificationReport:
         bounds={"equal": True},
         passed=passed,
         notes=("equals the size n-1 full-rank count" if direct == smaller else
-               "differs from the size n-1 full-rank count (n odd)"),
+               "differs from the size n-1 full-rank count" + (" (n odd)" if n % 2 else "")),
     )
 
 

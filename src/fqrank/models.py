@@ -137,7 +137,8 @@ class EntryDist:
         D = self.denominator
         shift = max(0, (D - 1).bit_length() - 16)
         cum = np.array(list(accumulate(self.numerators)), dtype=np.int64)
-        starts = np.arange(0, D, 1 << shift, dtype=np.int64)
+        # the bucket count in integers: arange(0, D, step) sizes itself in floats
+        starts = np.arange(((D - 1) >> shift) + 1, dtype=np.int64) << shift
         table = np.searchsorted(cum, starts, side="right")
         # the value the last u of each bucket selects: boundaries below the next start
         last = np.searchsorted(cum, np.append(starts[1:], D), side="left")
@@ -214,8 +215,9 @@ def band_type_f(n: int, alpha: float) -> TypeFSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A matrix model.  On mirrored kinds an override of (i, j) is drawn at
-    (min(i, j), max(i, j)) and copied to the lower cell, negated if alternating."""
+    """A matrix model.  On mirrored kinds an F value or an override law
+    given for (i, j) holds at (i, j), and (j, i) holds its mirror: the same
+    value, negated if alternating."""
 
     kind: str
     field: Field
@@ -293,8 +295,9 @@ class ModelSpec:
         """Each cell not drawn from default_dist(), mapped to its one source: a
         fixed value (the alternating diagonal's 0, the planted corner, an F
         entry) or an override's law, and on mirrored kinds its mirror image
-        (a fixed value negated if alternating).  Refuses F out of range or
-        inside the planted corner, and a cell with two different sources."""
+        (negated if alternating: P(-X = v) = P(X = -v) for a law).  Refuses F
+        out of range or inside the planted corner, and a cell with two
+        different sources."""
         f, alt = self.field, "alternating" in self.kind
         rows, cols = self.shape
         m0 = self.planted.rows if self.planted is not None else 0
@@ -315,8 +318,11 @@ class ModelSpec:
                 writes.append((r, c, v))
         writes += self.overrides
         if self.kind not in ("iid-square", "iid-rect"):
-            writes += [(c, r, v if isinstance(v, EntryDist) or not alt else f.neg(v))
-                       for r, c, v in writes]
+            def neg(v):
+                if isinstance(v, EntryDist):
+                    return EntryDist(tuple(v.probs[f.neg(x)] for x in range(f.q)))
+                return f.neg(v)
+            writes += [(c, r, neg(v) if alt else v) for r, c, v in writes]
         out: dict[tuple[int, int], int | EntryDist] = {}
         for r, c, v in writes:
             if out.setdefault((r, c), v) != v:
@@ -543,8 +549,9 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
 
     Draw i consumes rngs[i] alone, exactly as a stack of one would: the
     entry draw of spec.shape, then one draw per override.  Then the whole
-    stack is looked up, mirrored kinds copy the strict upper triangle into
-    the lower one (negated if alternating), and spec.fixed_cells is written."""
+    stack is looked up (an override's upper cell by the law cell_sources
+    gives it), mirrored kinds copy the strict upper triangle into the lower
+    one (negated if alternating), and spec.fixed_cells is written."""
     f = spec.field
     kind, n = spec.kind, spec.n
     if kind in GL_KINDS:
@@ -562,10 +569,10 @@ def sample_stack(spec: ModelSpec, rngs: list[np.random.Generator]) -> np.ndarray
         over.append([rng.integers(0, d.denominator) for _, _, d in spec.overrides])
     m = dist.lookup(np.stack(u))
     over = np.array(over, dtype=np.int64).reshape(len(rngs), -1)
-    for k, (i, j, d) in enumerate(spec.overrides):
+    for k, (i, j, _) in enumerate(spec.overrides):
         if mirrored:
             i, j = min(i, j), max(i, j)
-        m[:, i, j] = d.lookup(over[:, k])
+        m[:, i, j] = spec.cell_sources[i, j].lookup(over[:, k])
     if mirrored:
         r, c = np.triu_indices(n, k=1)
         m[:, c, r] = f.vec.sub(0, m[:, r, c]) if "alternating" in kind else m[:, r, c]

@@ -113,6 +113,17 @@ def _constrained_specs():
     ]
 
 
+def test_override_below_alternating_diagonal_oracle_and_sampler():
+    # Pf = a01 a23 - a02 a13 + a03 a12 with a23 = a02 = a13 = 1 and a03 = 0:
+    # a10 = 1 puts a01 = 2, so Pf = 1 and corank 0; read at (0, 1) unnegated,
+    # a01 = 1 would give Pf = 0 and corank 2
+    spec = ModelSpec(kind="alternating", field=F3, n=4,
+                     overrides=((1, 0, EntryDist((Fraction(0), Fraction(1), Fraction(0)))),),
+                     type_f=TypeFSpec(((), (), (0,), (0, 1, 2)), ((), (), (1,), (0, 1, 1))))
+    assert brute_force_pmf(spec).as_dict() == {0: Fraction(1)}
+    assert mc_corank(spec, 200, seed=2).counts == {0: 200}
+
+
 def test_brute_force_constrained_specs_pinned():
     # PMFs captured while the free cells were listed by a separate helper
     expected = [
@@ -196,6 +207,13 @@ def test_mc_corank_one_block_stays_serial(monkeypatch):
     spec = ModelSpec(kind="symmetric", field=F3, n=128)  # blocks of 16
     with pytest.raises(PoolStarted):
         mc_corank(spec, 17, seed=1, threads=3)
+
+
+@pytest.mark.parametrize("threads", [2.5, "2", True, 0, -3])
+def test_mc_corank_refuses_bad_threads(threads):
+    spec = ModelSpec(kind="iid-square", field=F3, n=200)  # 4 blocks
+    with pytest.raises(InvalidArgument, match="threads must be an integer >= 1"):
+        mc_corank(spec, 20, seed=1, threads=threads)
 
 
 def test_mc_limit_check_parity(monkeypatch):
@@ -300,6 +318,27 @@ def test_zero_diag_guard_counts_off_diagonal_assignments():
     assert zero_diag_count_check(3, field_new(23)).passed
     with pytest.raises(TooLargeToEnumerate):
         zero_diag_count_check(3, field_new(223))
+
+
+def test_zero_diag_even_n_checks_the_identity(monkeypatch):
+    # both routes share rank_rows: a rank capped at 3 makes them agree on 0
+    # full-rank 4 x 4 matrices, and the closed-form size 3 count of 28 catches it
+    rank_rows = harness.rank_rows
+    monkeypatch.setattr(harness, "rank_rows", lambda m, f: min(3, rank_rows(m, f)))
+    rep = zero_diag_count_check(4, F2)
+    assert rep.computed == {"via_type_f": 0, "direct": 0, "smaller_full_rank": 28}
+    assert not rep.passed
+    # odd n keep the two-route rule: their counts differ from the size n-1 count
+    rep = zero_diag_count_check(3, F3)
+    assert rep.passed and rep.computed["smaller_full_rank"] == 18
+
+
+def test_gl_subspace_checks_pass():
+    reports = list(harness.CHECKS["gl-subspaces"].run())
+    assert [r.claim_id for r in reports] == [
+        "submatrix-fullrank-n8-k3-l6-q2", "submatrix-fullrank-n6-k2-l2-q3",
+        "odlyzko-n6-d3-kbad0-q5"]
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("raw", ["abc", "", "0", "-3"])

@@ -126,6 +126,16 @@ def test_guide_table_lookup_many_boundaries_in_one_bucket():
     assert law.lookup(np.array(u)).tolist() == [bisect_right(cum, x) for x in u]
 
 
+@pytest.mark.parametrize("D", [(c << k) + 1 for k in range(53, 62) for c in (1, 3)])
+def test_guide_table_counts_its_buckets_in_integers(D):
+    # arange(0, D, 2^shift) sizes itself in floats and made one bucket too
+    # few for these D, so the last u ran off the table
+    law = EntryDist((Fraction(1, D), 1 - Fraction(1, D)))
+    cum = np.array(list(accumulate(law.numerators)), dtype=np.int64)
+    u = np.array([D - 2, D - 1], dtype=np.int64)
+    assert law.lookup(u).tolist() == np.searchsorted(cum, u, side="right").tolist()
+
+
 def test_guide_table_is_built_on_first_lookup():
     d = near_uniform_dist(field_new(101), set(range(51, 101)))
     spec = ModelSpec(kind="iid-square", field=field_new(101), n=4, entries=d)
@@ -282,6 +292,43 @@ def test_override_listed_with_its_mirror_law_accepted():
     for t in range(3):
         M = sample(spec, 5, t)
         assert M.get(0, 2) == M.get(2, 0) == 3
+
+
+def test_override_below_alternating_diagonal_lands_on_its_cell():
+    # the stated cell holds the law, its mirror the negated law, as with F
+    one = EntryDist((Fraction(0), Fraction(1), Fraction(0)))
+    spec = ModelSpec(kind="alternating", field=F3, n=3, overrides=((1, 0, one),))
+    for t in range(50):
+        M = sample(spec, 1, t)
+        assert (M.get(1, 0), M.get(0, 1)) == (1, 2)
+
+
+def test_mirrored_override_sources():
+    law = EntryDist((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    # P(-X = v) = P(X = -v): the masses of 1 and 2 swap in F_3
+    neg = EntryDist((Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)))
+    for i, j in ((2, 0), (0, 2)):
+        spec = ModelSpec(kind="alternating", field=F3, n=3, overrides=((i, j, law),))
+        assert spec.cell_sources[i, j] == law and spec.cell_sources[j, i] == neg
+        spec = ModelSpec(kind="symmetric", field=F3, n=3, overrides=((i, j, law),))
+        assert spec.cell_sources[i, j] == spec.cell_sources[j, i] == law
+    # in F_9 = F_3[x], -(a + bx) = -a - bx
+    F9 = field_new(9)
+    law9 = EntryDist(tuple(Fraction(int(v == 5)) for v in range(9)))
+    spec = ModelSpec(kind="alternating", field=F9, n=2, overrides=((1, 0, law9),))
+    assert spec.cell_sources[0, 1].probs[F9.neg(5)] == 1
+    assert all(sample(spec, 3, t).to_lists() == [[0, F9.neg(5)], [5, 0]] for t in range(5))
+
+
+def test_override_and_its_mirror_with_one_law_on_alternating_kinds():
+    # one law stated for a cell and its mirror gives them two sources, unless
+    # negation leaves the law as it is
+    law = EntryDist((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    with pytest.raises(InvalidSpec, match=r"cell \(1, 0\) is given both"):
+        ModelSpec(kind="alternating", field=F3, n=3, overrides=((0, 1, law), (1, 0, law)))
+    even = uniform_entry_dist(F3)
+    spec = ModelSpec(kind="alternating", field=F3, n=3, overrides=((0, 1, even), (1, 0, even)))
+    assert spec.cell_sources[0, 1] == spec.cell_sources[1, 0] == even
 
 
 def test_entry_law_denominator_cap():
