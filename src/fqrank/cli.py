@@ -173,12 +173,10 @@ def cmd_chain(args) -> int:
         _emit({"path": list(path), "probability": _fraction_str(prob),
                "probability_float": float(prob)})
     else:
-        # --planted reads x0 as a fixed corner's corank; the law is the same
         pmf = chain_mod.evolve(spec, chain_mod.delta_pmf(args.x0), args.steps)
         with _open_csv(args.csv) as fh:
             _write_csv(fh, pmf)
-        params = {"kind": args.kind, "n": args.n, "x0": args.x0, "steps": args.steps,
-                  "planted": args.planted}
+        params = {"kind": args.kind, "n": args.n, "x0": args.x0, "steps": args.steps}
         _emit(json.loads(pmf.to_json(f.q, params)))
     return 0
 
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = c.add_mutually_exclusive_group()
     g.add_argument("--hit-zero", action="store_true")
     g.add_argument("--path", action="store_true")
-    g.add_argument("--planted", action="store_true")
     c.add_argument("--csv")
     c.set_defaults(func=cmd_chain)
 

@@ -249,27 +249,24 @@ def fg_sandwich_check(kind: str, n: int, f: Field, m: int = 0) -> VerificationRe
     """TV(finite-n law, limiting law) against the published sandwich bounds."""
     q = f.q
     parity = "even" if n % 2 == 0 else "odd"
-    finite = uniform_pmf(kind, n, f, m)
-    limit = limit_pmf(kind, f, m, parity, Fraction(1, 10**25))
-    bounds = _FG_BOUNDS[kind]
-    lo, lo_off, hi, hi_off = bounds.get(parity) or bounds["any"]
+    lo, lo_off, hi, hi_off = _FG_BOUNDS[kind].get(parity) or _FG_BOUNDS[kind]["any"]
     shift = m if kind == "rect" else 0
-    tv, err = tv_distance(finite, limit)
-    lower = lo / q ** (n + lo_off + shift)
-    upper = hi / q ** (n + hi_off + shift)
-    passed = (tv + err >= lower) and (tv - err <= upper) and err <= Fraction(1, 10**20)
-    return VerificationReport(
-        claim_id=f"fg-sandwich-{kind}-n{n}-q{q}" + (f"-m{m}" if kind == "rect" else ""),
-        computed={"tv": tv, "tv_err": err},
-        bounds={"lower": lower, "upper": upper},
-        passed=passed,
-    )
+    tv, err = tv_distance(uniform_pmf(kind, n, f, m),
+                          limit_pmf(kind, f, m, parity, Fraction(1, 10**25)))
+    rep = _within(f"fg-sandwich-{kind}-n{n}-q{q}" + (f"-m{m}" if kind == "rect" else ""),
+                  {"tv": tv, "tv_err": err}, tv, err,
+                  lower=lo / q ** (n + lo_off + shift), upper=hi / q ** (n + hi_off + shift))
+    rep.passed = rep.passed and err <= Fraction(1, 10**20)
+    return rep
 
 
 def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
                   seed: int, f: Field) -> VerificationReport:
     """Empirical P(X in V) for random codimension-d subspaces V against the
     (C/q)^(d - k_bad) bound; the first k_bad coordinates are held at 0."""
+    if not (all(map(_is_int, (n, d, k_bad))) and n >= 1 and 0 <= d <= n and 0 <= k_bad <= n):
+        raise InvalidArgument("odlyzko_check needs integers n >= 1, 0 <= d <= n "
+                              "and 0 <= k_bad <= n")
     q = f.q
     hits = 0
     k = candidates_per_call(n, n - d, q)
@@ -336,6 +333,8 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
                              f: Field) -> VerificationReport:
     """Frequency that the first k columns of a uniform GL_n draw restricted to
     the first l coordinates stay independent, against 1 - 2/q^(l-k)."""
+    if not (all(map(_is_int, (n, k, l))) and 1 <= k <= l <= n):
+        raise InvalidArgument("submatrix_fullrank_check needs integers 1 <= k <= l <= n")
     q = f.q
     spec = ModelSpec(kind="uniform-gl", field=f, n=n)
     hits = sum(int((rank_stack(g[:, :l, :k], q) == k).sum())
@@ -455,6 +454,17 @@ def chain_consistency_check(kind: str, n: int, f: Field) -> VerificationReport:
                               closed_form=uniform_pmf(kind, n, f))
 
 
+def _within(claim_id: str, computed: dict, value: Fraction, err: Fraction,
+            lower: Fraction | None = None, upper: Fraction | None = None,
+            notes: str = "") -> VerificationReport:
+    """value, known to within err, against the sides given, which bounds holds
+    as lower and upper: passed iff all of [value - err, value + err] lies inside."""
+    passed = ((lower is None or value - err >= lower)
+              and (upper is None or value + err <= upper))
+    bounds = {k: b for k, b in (("lower", lower), ("upper", upper)) if b is not None}
+    return VerificationReport(claim_id, computed, bounds, passed, notes=notes)
+
+
 def _equal_laws_report(claim_id: str, **laws: CorankPMF) -> VerificationReport:
     """Two exact laws, named in computed; passed iff they are equal."""
     a, b = laws.values()
@@ -466,18 +476,11 @@ def planted_tv_check(kind: str, x0: int, added_steps: int, f: Field) -> Verifica
     """TV(planted-corner law, limiting law) against the exact bound
     3^(n/2) / q^(n/2 - m0) with n = x0 + added_steps and m0 = x0."""
     n, m0, q = x0 + added_steps, x0, f.q
-    limit = limit_pmf(kind, f, parity="even" if n % 2 == 0 else "odd",
-                      tol=Fraction(1, 10**30))
-    planted = planted_pmf(kind, x0, added_steps, f)
-    tv, err = tv_distance(planted, limit)
-    bound = Fraction(3 ** (n // 2), q ** (n // 2 - m0))
-    passed = tv + err <= bound
-    return VerificationReport(
-        claim_id=f"planted-{kind}-x0{x0}-n{n}-q{q}",
-        computed={"tv": tv, "tv_err": err},
-        bounds={"bound": bound},
-        passed=passed,
-    )
+    limit = limit_pmf(kind, f, parity="even" if n % 2 == 0 else "odd", tol=Fraction(1, 10**30))
+    tv, err = tv_distance(planted_pmf(kind, x0, added_steps, f), limit)
+    # TV >= 0 holds anyway; a certified lower side would fail a law within err
+    return _within(f"planted-{kind}-x0{x0}-n{n}-q{q}", {"tv": tv, "tv_err": err}, tv, err,
+                   upper=Fraction(3) ** (n // 2) / Fraction(q) ** (n // 2 - m0))
 
 
 def hit_zero_bound_check(kind: str, m0: int, s: int, f: Field) -> VerificationReport:
@@ -485,14 +488,10 @@ def hit_zero_bound_check(kind: str, m0: int, s: int, f: Field) -> VerificationRe
     the lower bound 1 - 3^s / q^(s - m0)."""
     spec = ChainSpec(kind, f) if kind != "iid-column" else ChainSpec(kind, f, n=m0 + s)
     prob = hit_zero_prob(spec, m0, s)
-    bound = 1 - Fraction(3**s, f.q ** (s - m0))
-    return VerificationReport(
-        claim_id=f"hit-zero-{kind}-m0{m0}-s{s}-q{f.q}",
-        computed={"hit_zero_prob": prob},
-        bounds={"lower_bound": bound},
-        passed=prob >= bound,
-        notes="bound is vacuous (nonpositive) and trivially holds" if bound <= 0 else "",
-    )
+    bound = 1 - Fraction(3) ** s / Fraction(f.q) ** (s - m0)
+    vacuous = "bound is vacuous (nonpositive) and trivially holds" if bound <= 0 else ""
+    return _within(f"hit-zero-{kind}-m0{m0}-s{s}-q{f.q}", {"hit_zero_prob": prob}, prob, 0,
+                   lower=bound, notes=vacuous)
 
 
 def path_claim_check(kind: str, x0: int, steps: int, f: Field) -> VerificationReport:

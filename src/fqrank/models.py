@@ -97,6 +97,8 @@ class EntryDist:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not all(_is_int(c) or isinstance(c, Fraction) for c in self.probs):
+            raise InvalidSpec("entry probabilities must be integers or Fractions")
         if any(c < 0 for c in self.probs):
             raise InvalidSpec("negative entry probability")
         if sum(self.probs) != 1:
@@ -167,8 +169,8 @@ def uniform_entry_dist(f: Field) -> EntryDist:
 def near_uniform_dist(f: Field, zero_set) -> EntryDist:
     """Uniform on the complement of zero_set; C = q/(q - |zero_set|)."""
     zero_set = frozenset(zero_set)
-    if any(not (0 <= v < f.q) for v in zero_set):
-        raise InvalidSpec("zero_set element out of range")
+    if any(not (_is_int(v) and 0 <= v < f.q) for v in zero_set):
+        raise InvalidSpec(f"zero_set elements must be integers in [0, {f.q})")
     support = f.q - len(zero_set)
     if support == 0:
         raise EmptySupport("zero_set covers all of F_q")
@@ -498,6 +500,8 @@ def candidates_per_call(rows: int, cols: int, q: int) -> int:
     (1 - p)^k <= 1/2.  p is evaluated in floating point: the thresholds
     1 - 2^(-1/k) are irrational for k >= 2, and the one exact tie, p = 1/2 at
     k = 1 (q = 2, rows = cols = 1), is computed exactly."""
+    if cols > rows:  # p = 0: no candidate has full column rank
+        raise InvalidArgument(f"a {rows}x{cols} candidate cannot have full column rank")
     p = math.prod(1 - float(q) ** (i - rows) for i in range(cols))
     k = 1
     while (1 - p) ** k > 0.5:

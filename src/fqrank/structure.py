@@ -100,7 +100,7 @@ def rho(a, dists: list[EntryDist], F=(), K: float | None = None) -> StructureRep
     a = tuple(a)
     if len(a) != len(dists):
         raise DimensionMismatch("vector length != number of distributions")
-    q = dists[0].q
+    q = _one_field(dists)
     if any(not 0 <= ai < q for ai in a):
         raise InvalidArgument(f"coordinates must lie in [0, {q})")
     f = field_new(q)
@@ -126,8 +126,17 @@ def rho(a, dists: list[EntryDist], F=(), K: float | None = None) -> StructureRep
 # exact anti-concentration PMFs
 # ---------------------------------------------------------------------------
 
+def _one_field(dists: list[EntryDist]) -> int:
+    """The q of every law in dists, which must be a nonempty list over one field."""
+    qs = {d.q for d in dists}
+    if len(qs) != 1:
+        raise InvalidArgument("the laws must be a nonempty list over one field; "
+                              f"their q are {sorted(qs)}")
+    return qs.pop()
+
+
 def _check_fixed(fixed: dict[int, int], dists: list[EntryDist]) -> None:
-    m, q = len(dists), dists[0].q
+    m, q = len(dists), _one_field(dists)
     if any(i not in range(m) or v not in range(q) for i, v in fixed.items()):
         raise InvalidArgument(f"fixed coordinates must lie in [0, {m}) "
                               f"and their values in [0, {q})")
@@ -182,7 +191,7 @@ def subspace_prob(H_basis: list, dists: list[EntryDist],
                   fixed: dict[int, int] | None = None) -> Fraction:
     """Exact P(X in H) via the joint law of (X.w_1, ..., X.w_d) for a basis
     w of the orthogonal complement.  Guarded at codimension d <= 3."""
-    perp = _perp_basis(H_basis, len(dists), field_new(dists[0].q))
+    perp = _perp_basis(H_basis, len(dists), field_new(_one_field(dists)))
     return _joint_law(perp, dists, fixed or {}).get((0,) * len(perp), Fraction(0))
 
 
@@ -191,7 +200,7 @@ def check_unconc_implies_uniform(H_basis: list, dists: list[EntryDist],
                                  ) -> tuple[Fraction, Fraction, bool]:
     """lhs = |P(X in H) - q^-d|; delta = max over nonzero w in the orthogonal
     complement of |P(X.w = 0) - 1/q|; pass iff lhs <= 2*delta."""
-    q = dists[0].q
+    q = _one_field(dists)
     f = field_new(q)
     perp = _perp_basis(H_basis, len(dists), f)
     d = len(perp)
@@ -244,7 +253,7 @@ def check_decoupling(A, b, dists: list[EntryDist], I) -> tuple[Fraction, Fractio
     """Decoupling inequality: sup_r |P(x.Ax + b.x = r) - 1/q|^4 against
     |P(sum_{i in I, j not in I} A_ij y_i y_j = 0) - 1/q| with y = x - x'."""
     m = len(dists)
-    q = dists[0].q
+    q = _one_field(dists)
     Iset = frozenset(I)
     pmf = quad_form_pmf(A, b, dists)
     lhs = max(abs(pmf[r] - Fraction(1, q)) for r in range(q))

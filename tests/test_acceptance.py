@@ -73,13 +73,13 @@ def test_criterion_07_planted_corner_convergence():
     sym, alt = _run("planted-corner")
     _report(7, "planted-corner convergence", sym.passed and alt.passed, t0,
             f"sym tv={float(sym.computed['tv']):.3g} <= "
-            f"{float(sym.bounds['bound']):.3g}")
+            f"{float(sym.bounds['upper']):.3g}")
 
 
 def test_criterion_08_hitting_zero_bound():
     t0 = time.time()
     reports = _run("hit-zero")
-    checked = sum(r.bounds["lower_bound"] > 0 for r in reports)
+    checked = sum(r.bounds["lower"] > 0 for r in reports)
     _report(8, "hitting-zero lower bound",
             all(r.passed for r in reports) and checked > 0, t0,
             f"{checked} non-vacuous grid points")

@@ -122,8 +122,7 @@ def test_chain_evolve_and_flags(capsys):
     assert code == 0
     assert obj["support"] == [[0, "1/2"], [1, "3/8"], [2, "1/8"]]
     assert obj["q"] == 2
-    assert obj["params"] == {"kind": "symmetric", "n": None, "x0": 0, "steps": 2,
-                             "planted": False}
+    assert obj["params"] == {"kind": "symmetric", "n": None, "x0": 0, "steps": 2}
 
     code, obj = run(capsys, "chain", "symmetric", "--q", "3", "--x0", "2",
                     "--steps", "6", "--hit-zero")
@@ -135,24 +134,20 @@ def test_chain_evolve_and_flags(capsys):
     assert code == 0
     assert len(obj["path"]) == 6
 
-    code, obj = run(capsys, "chain", "symmetric", "--q", "3", "--x0", "2",
-                    "--steps", "4", "--planted")
-    assert code == 0
-    assert obj["kind"] == "exact"
-    assert obj["q"] == 3
-    assert obj["params"] == {"kind": "symmetric", "n": None, "x0": 2, "steps": 4,
-                             "planted": True}
 
+def test_chain_prints_the_planted_corner_law(capsys):
+    from fqrank.chain import planted_pmf
+    from fqrank.field import field_new
 
-def test_chain_planted_iid_column(capsys):
-    argv = ["chain", "iid-column", "--q", "2", "--n", "3", "--steps", "2"]
-    code, evolved = run(capsys, *argv)
+    # planted_pmf is evolve from delta(x0), so --x0 and --steps give it and
+    # there is no --planted flag
+    code, obj = run(capsys, "chain", "symmetric", "--q", "3", "--x0", "2", "--steps", "4")
     assert code == 0
-    code, planted = run(capsys, *argv, "--planted")
-    assert code == 0
-    assert planted["support"] == evolved["support"]
-    assert planted["params"] == {"kind": "iid-column", "n": 3, "x0": 0, "steps": 2,
-                                 "planted": True}
+    law = planted_pmf("symmetric", 2, 4, field_new(3))
+    assert obj["support"] == [[k, str(p)] for k, p in law.support]
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "symmetric", "--q", "3", "--x0", "2", "--steps", "4", "--planted"])
+    assert exc.value.code == 2
 
 
 def test_structure_reads_column0_laws(tmp_path, capsys):

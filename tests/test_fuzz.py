@@ -153,7 +153,7 @@ def test_cli_dist_fuzz(capsys, kind, q, n, m, parity, limit):
 
 @FUZZ
 @given(kind=st.sampled_from(CHAIN_KINDS), q=qs, x0=counts, steps=st.integers(-20, 20),
-       n=st.none() | counts, mode=st.sampled_from([None, "--hit-zero", "--path", "--planted"]))
+       n=st.none() | counts, mode=st.sampled_from([None, "--hit-zero", "--path"]))
 @example(kind="symmetric", q=3, x0=1, steps=-1, n=None, mode="--path")
 @example(kind="symmetric", q=3, x0=1, steps=-2, n=None, mode="--hit-zero")
 def test_cli_chain_fuzz(capsys, kind, q, x0, steps, n, mode):

@@ -303,6 +303,51 @@ def test_odlyzko_blocks_match_per_trial_replay(monkeypatch):
             assert rep.computed["empirical"] == Fraction(hits, trials)
 
 
+_U3 = uniform_entry_dist(F3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: odlyzko_check(3, -1, 0, _U3, 20, 1, F3),  # cols > rows: never full rank
+    lambda: odlyzko_check(3, 4, 0, _U3, 20, 1, F3),  # d = n + 1
+    lambda: odlyzko_check(3, 5, 0, _U3, 20, 1, F3),  # d >= n + 2
+    lambda: odlyzko_check(0, 0, 0, _U3, 20, 1, F3),
+    lambda: odlyzko_check(4, 2, -2, _U3, 20, 1, F3),
+    lambda: odlyzko_check(3, 1, 4, _U3, 20, 1, F3),
+    lambda: odlyzko_check(3, 1.0, 0, _U3, 20, 1, F3),
+    lambda: submatrix_fullrank_check(3, 2, 5, 20, 1, F3),  # l > n
+    lambda: submatrix_fullrank_check(3, 4, 4, 20, 1, F3),  # k > n
+    lambda: submatrix_fullrank_check(4, 3, 2, 20, 1, F3),  # k > l
+    lambda: submatrix_fullrank_check(3, 0, 2, 20, 1, F3),
+    lambda: submatrix_fullrank_check(3, -1, 2, 20, 1, F3),
+    lambda: models.candidates_per_call(2, 3, 2),
+], ids=["odlyzko-d-1", "odlyzko-d-n+1", "odlyzko-d-n+2", "odlyzko-n0", "odlyzko-kbad-2",
+        "odlyzko-kbad-n+1", "odlyzko-float-d", "submatrix-l-n+2", "submatrix-k-n+1",
+        "submatrix-k-l+1", "submatrix-k0", "submatrix-k-1", "candidates-cols-rows+1"])
+def test_gl_subspace_checks_refuse_what_they_cannot_check(call):
+    with pytest.raises(InvalidArgument):
+        call()
+
+
+def test_exact_bounds_hold_the_whole_interval(monkeypatch):
+    # a TV above the upper sandwich bound by less than its error bar: the
+    # interval crosses the bound, so the check cannot certify it
+    upper = Fraction(3, 2**7)
+    monkeypatch.setattr(harness, "tv_distance",
+                        lambda a, b: (upper + Fraction(5, 10**22), Fraction(1, 10**21)))
+    rep = fg_sandwich_check("square", 6, F2)
+    assert rep.bounds == {"lower": Fraction(1, 2**10), "upper": upper}
+    assert not rep.passed
+
+
+def test_chain_bounds_take_negative_exponents():
+    # m0 = 5 above s = 2 (and n // 2 = 3): both bounds are vacuous, not a TypeError
+    rep = harness.planted_tv_check("symmetric", 5, 2, F3)
+    assert rep.passed and rep.bounds == {"upper": Fraction(3**3 * 3**2)}
+    rep = harness.hit_zero_bound_check("symmetric", 5, 2, F3)
+    assert rep.passed and rep.bounds == {"lower": 1 - Fraction(3**2 * 3**3)}
+    assert rep.notes == "bound is vacuous (nonpositive) and trivially holds"
+
+
 def test_zero_diag_counts():
     rep = zero_diag_count_check(2, F2)
     assert rep.passed

@@ -3,6 +3,7 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -30,6 +31,24 @@ def test_entry_dist_validation():
         EntryDist((Fraction(1, 2), Fraction(1, 4)))  # does not sum to 1
     with pytest.raises(InvalidSpec):
         EntryDist((Fraction(3, 2), Fraction(-1, 2)))
+    # integers are exact too
+    assert EntryDist((1, 0, Fraction(0))).numerators == (1, 0, 0)
+    assert EntryDist((np.int64(0), Fraction(1))).denominator == 1
+
+
+@pytest.mark.parametrize("probs", [
+    (0.5, 0.5, 0.0), (Fraction(1, 2), 0.5, 0), ("1", 0, 0), (True, False, 0),
+    (Decimal(1), 0, 0), (1.0,),
+])
+def test_entry_dist_takes_exact_probabilities_only(probs):
+    with pytest.raises(InvalidSpec):
+        EntryDist(probs)
+
+
+@pytest.mark.parametrize("zero_set", [{1.5}, {1.0}, {True}, {"1"}])
+def test_near_uniform_zero_set_takes_integers_only(zero_set):
+    with pytest.raises(InvalidSpec, match="integers"):
+        near_uniform_dist(F3, zero_set)
 
 
 def test_entry_dist_constant():

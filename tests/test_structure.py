@@ -276,3 +276,24 @@ def test_quad_form_pmf_refuses_bad_fixed(q, fixed):
     dists = [uniform_entry_dist(field_new(q))] * 2
     with pytest.raises(InvalidArgument):
         quad_form_pmf([[1, 0], [0, 1]], [0, 0], dists, fixed)
+
+
+# laws over two fields, and no laws at all
+_MIXED = [uniform_entry_dist(F3), uniform_entry_dist(field_new(5))]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rho([1, 1], _MIXED),
+    lambda: rho([], []),
+    lambda: linear_form_pmf([1, 1], _MIXED),
+    lambda: linear_form_pmf([], []),
+    lambda: quad_form_pmf([[1, 0], [0, 1]], [0, 0], _MIXED),
+    lambda: quad_form_pmf([], [], []),
+    lambda: subspace_prob([], []),
+    lambda: check_unconc_implies_uniform([(1, 0)], _MIXED),
+    lambda: check_decoupling([[0, 1], [1, 0]], [0, 0], _MIXED, [0]),
+], ids=["rho-mixed", "rho-empty", "linear-mixed", "linear-empty", "quad-mixed",
+        "quad-empty", "subspace-empty", "unconc-mixed", "decoupling-mixed"])
+def test_laws_over_one_field_only(call):
+    with pytest.raises(InvalidArgument):
+        call()
