@@ -264,9 +264,10 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
                   seed: int, f: Field) -> VerificationReport:
     """Empirical P(X in V) for random codimension-d subspaces V against the
     (C/q)^(d - k_bad) bound; the first k_bad coordinates are held at 0."""
-    if not (all(map(_is_int, (n, d, k_bad))) and n >= 1 and 0 <= d <= n and 0 <= k_bad <= n):
-        raise InvalidArgument("odlyzko_check needs integers n >= 1, 0 <= d <= n "
-                              "and 0 <= k_bad <= n")
+    if not (all(map(_is_int, (n, d, k_bad, trials))) and n >= 1 and 0 <= d <= n
+            and 0 <= k_bad <= n and trials >= 1):
+        raise InvalidArgument("odlyzko_check needs integers n >= 1, 0 <= d <= n, "
+                              "0 <= k_bad <= n and trials >= 1")
     q = f.q
     hits = 0
     k = candidates_per_call(n, n - d, q)
@@ -333,8 +334,9 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
                              f: Field) -> VerificationReport:
     """Frequency that the first k columns of a uniform GL_n draw restricted to
     the first l coordinates stay independent, against 1 - 2/q^(l-k)."""
-    if not (all(map(_is_int, (n, k, l))) and 1 <= k <= l <= n):
-        raise InvalidArgument("submatrix_fullrank_check needs integers 1 <= k <= l <= n")
+    if not (all(map(_is_int, (n, k, l, trials))) and 1 <= k <= l <= n and trials >= 1):
+        raise InvalidArgument("submatrix_fullrank_check needs integers 1 <= k <= l <= n "
+                              "and trials >= 1")
     q = f.q
     spec = ModelSpec(kind="uniform-gl", field=f, n=n)
     hits = sum(int((rank_stack(g[:, :l, :k], q) == k).sum())

@@ -314,15 +314,21 @@ _U3 = uniform_entry_dist(F3)
     lambda: odlyzko_check(4, 2, -2, _U3, 20, 1, F3),
     lambda: odlyzko_check(3, 1, 4, _U3, 20, 1, F3),
     lambda: odlyzko_check(3, 1.0, 0, _U3, 20, 1, F3),
+    lambda: odlyzko_check(3, 1, 0, _U3, 0, 1, F3),
+    lambda: odlyzko_check(3, 1, 0, _U3, -5, 1, F3),
     lambda: submatrix_fullrank_check(3, 2, 5, 20, 1, F3),  # l > n
     lambda: submatrix_fullrank_check(3, 4, 4, 20, 1, F3),  # k > n
     lambda: submatrix_fullrank_check(4, 3, 2, 20, 1, F3),  # k > l
     lambda: submatrix_fullrank_check(3, 0, 2, 20, 1, F3),
     lambda: submatrix_fullrank_check(3, -1, 2, 20, 1, F3),
+    lambda: submatrix_fullrank_check(3, 1, 2, 0, 1, F3),
+    lambda: submatrix_fullrank_check(3, 1, 2, 2.5, 1, F3),
     lambda: models.candidates_per_call(2, 3, 2),
 ], ids=["odlyzko-d-1", "odlyzko-d-n+1", "odlyzko-d-n+2", "odlyzko-n0", "odlyzko-kbad-2",
-        "odlyzko-kbad-n+1", "odlyzko-float-d", "submatrix-l-n+2", "submatrix-k-n+1",
-        "submatrix-k-l+1", "submatrix-k0", "submatrix-k-1", "candidates-cols-rows+1"])
+        "odlyzko-kbad-n+1", "odlyzko-float-d", "odlyzko-trials0", "odlyzko-trials-5",
+        "submatrix-l-n+2", "submatrix-k-n+1", "submatrix-k-l+1", "submatrix-k0",
+        "submatrix-k-1", "submatrix-trials0", "submatrix-float-trials",
+        "candidates-cols-rows+1"])
 def test_gl_subspace_checks_refuse_what_they_cannot_check(call):
     with pytest.raises(InvalidArgument):
         call()
