@@ -27,6 +27,7 @@ from functools import lru_cache
 from .distributions import CorankPMF, _pmf
 from .errors import EvenCharacteristic, InvalidArgument
 from .field import Field
+from .models import _is_int
 
 CHAIN_KINDS = ("symmetric", "alternating", "iid-column")
 
@@ -40,6 +41,10 @@ class ChainSpec:
     def __post_init__(self):
         if self.kind not in CHAIN_KINDS:
             raise InvalidArgument(f"unknown chain kind {self.kind!r}")
+        if not isinstance(self.field, Field):
+            raise InvalidArgument(f"a chain's field must be a Field, not {self.field!r}")
+        if self.n is not None and not _is_int(self.n):
+            raise InvalidArgument("the ambient dimension n must be an integer")
         if self.kind == "alternating" and self.field.q % 2 == 0:
             raise EvenCharacteristic("alternating chain requires odd q")
         if self.kind == "iid-column" and (self.n is None or self.n < 1):
@@ -48,8 +53,8 @@ class ChainSpec:
 
 def transition(kind: str, k: int, f: Field) -> tuple[Fraction, Fraction, Fraction]:
     """Exact one-step (down, stay, up) probabilities from corank k."""
-    if k < 0:
-        raise InvalidArgument("corank must be >= 0")
+    if not (_is_int(k) and k >= 0):
+        raise InvalidArgument("corank must be an integer >= 0")
     q = f.q
     qk = Fraction(1, q**k)
     if kind == "symmetric":
@@ -65,8 +70,8 @@ def transition(kind: str, k: int, f: Field) -> tuple[Fraction, Fraction, Fractio
 
 
 def _check_steps(steps: int) -> None:
-    if steps < 0:
-        raise InvalidArgument("steps must be >= 0")
+    if not (_is_int(steps) and steps >= 0):
+        raise InvalidArgument("steps must be an integer >= 0")
 
 
 @lru_cache(maxsize=None)
@@ -76,12 +81,10 @@ def _moves(kind: str, k: int, f: Field) -> tuple[tuple[int, Fraction], ...]:
     return tuple((k2, p) for k2, p in zip((k - 1, k, k + 1), transition(kind, k, f)) if p)
 
 
-def _step(kind: str, f: Field, dist: dict[int, Fraction],
-          absorb_at_zero: bool = False) -> dict[int, Fraction]:
+def _step(kind: str, f: Field, dist: dict[int, Fraction]) -> dict[int, Fraction]:
     new: dict[int, Fraction] = {}
     for k, p in dist.items():
-        moves = ((0, Fraction(1)),) if absorb_at_zero and k == 0 else _moves(kind, k, f)
-        for k2, move in moves:
+        for k2, move in _moves(kind, k, f):
             new[k2] = new.get(k2, Fraction(0)) + p * move
     return new
 
@@ -102,7 +105,7 @@ def evolve(spec: ChainSpec, initial: CorankPMF, steps: int) -> CorankPMF:
         dist = dict(initial.support)
     for _ in range(steps):
         dist = _step(spec.kind, spec.field, dist)
-    return _pmf(dist, kind=initial.kind, tail_bound=initial.tail_bound)
+    return _pmf(dist, tail_bound=initial.tail_bound)
 
 
 def delta_pmf(k: int) -> CorankPMF:
@@ -111,25 +114,28 @@ def delta_pmf(k: int) -> CorankPMF:
 
 def hit_zero_prob(spec: ChainSpec, x0: int, steps: int) -> Fraction:
     """Exact probability the chain started at corank x0 touches 0 within
-    `steps` steps (absorbing-state computation).  On iid-column, x0 is the
-    span codimension, at most n."""
-    if x0 < 0:
-        raise InvalidArgument("x0 must be >= 0")
+    `steps` steps: the mass that lands on 0 after each step is counted and
+    taken out of the chain.  On iid-column, x0 is the span codimension, at
+    most n."""
+    if not (_is_int(x0) and x0 >= 0):
+        raise InvalidArgument("x0 must be an integer >= 0")
     if spec.kind == "iid-column" and x0 > spec.n:
         raise InvalidArgument("the span codimension x0 exceeds ambient n")
     _check_steps(steps)
     dist = {x0: Fraction(1)}
+    hit = dist.pop(0, Fraction(0))
     for _ in range(steps):
-        dist = _step(spec.kind, spec.field, dist, absorb_at_zero=True)
-    return dist.get(0, Fraction(0))
+        dist = _step(spec.kind, spec.field, dist)
+        hit += dist.pop(0, Fraction(0))
+    return hit
 
 
 def path_probability(spec: ChainSpec, path: list[int]) -> Fraction:
     """Exact probability of a given corank path (consecutive transitions)."""
     if not path:
         raise InvalidArgument("a path needs at least one corank")
-    if min(path) < 0:
-        raise InvalidArgument("corank must be >= 0")
+    if not all(_is_int(k) and k >= 0 for k in path):
+        raise InvalidArgument("coranks must be integers >= 0")
     prob = Fraction(1)
     for k, k2 in zip(path, path[1:]):
         move = dict(_moves(spec.kind, k, spec.field)).get(k2)
@@ -146,23 +152,14 @@ def most_likely_positive_path(spec: ChainSpec, x0: int, steps: int
     leftover step in the symmetric chain)."""
     if spec.kind not in ("symmetric", "alternating"):
         raise InvalidArgument("positive-path claim applies to symmetric/alternating")
-    if x0 < 1:
-        raise InvalidArgument("a strictly positive path needs x0 >= 1")
+    if not (_is_int(x0) and x0 >= 1):
+        raise InvalidArgument("a strictly positive path needs an integer x0 >= 1")
     _check_steps(steps)
-    path = [x0]
-    pos = x0
-    remaining = steps
-    while pos > 1 and remaining > 0:
-        pos -= 1
-        path.append(pos)
-        remaining -= 1
-    stays = remaining % 2 if spec.kind == "symmetric" else 0
-    for _ in range((remaining - stays) // 2):
-        path.extend([2, 1])
-    if stays:
-        path.append(1)
-    if spec.kind == "alternating" and len(path) < steps + 1:
-        path.append(2)  # odd leftover has to end on an up-move
+    path = list(range(x0, max(x0 - steps, 1) - 1, -1))
+    left = steps + 1 - len(path)
+    path += [2, 1] * (left // 2)
+    if left % 2:  # a stay at 1, or on alternating an up-move
+        path.append(1 if spec.kind == "symmetric" else 2)
     return tuple(path), path_probability(spec, path)
 
 
@@ -182,8 +179,8 @@ def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
     the list holds only tuples of ints and Fractions, which form no reference
     cycles, so a collection there would traverse every new pair and free
     nothing.  The caller's collector state is restored on every exit."""
-    if x0 < 1:
-        raise InvalidArgument("a strictly positive path needs x0 >= 1")
+    if not (_is_int(x0) and x0 >= 1):
+        raise InvalidArgument("a strictly positive path needs an integer x0 >= 1")
     _check_steps(steps)
     D = spec.field.q ** (x0 + steps + 1)
     weights: dict[int, tuple[tuple[int, int], ...]] = {}

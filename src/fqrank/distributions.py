@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from .errors import EvenCharacteristic, InvalidArgument
 from .field import Field
+from .models import _is_int
 
 ZERO = Fraction(0)
 
@@ -38,31 +40,33 @@ def _ratio_str(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class CorankPMF:
-    """A PMF over corank values.
-
-    kind is "exact" (tail_bound = 0) or "truncated-limit" (the masses are
-    lower bounds, and tail_bound bounds the mass they leave out); either way
-    the masses and tail_bound sum to exactly 1.
+    """A PMF over integer coranks with exact masses and an exact tail_bound,
+    summing to exactly 1.  A law with tail_bound > 0 is a truncated limit: its
+    masses are lower bounds, and tail_bound bounds the mass they leave out.
     """
 
     support: tuple[tuple[int, Fraction], ...]
-    kind: str = "exact"
     tail_bound: Fraction = ZERO
 
     def __post_init__(self):
-        if self.kind not in ("exact", "truncated-limit"):
-            raise InvalidArgument(f"unknown PMF kind {self.kind!r}")
         ks = [k for k, _ in self.support]
+        masses = [m for _, m in self.support]
+        if not all(map(_is_int, ks)):
+            raise InvalidArgument("coranks must be integers")
+        if not all(_is_int(m) or isinstance(m, Fraction) for m in masses + [self.tail_bound]):
+            raise InvalidArgument("masses and tail_bound must be ints or Fractions")
         if ks != sorted(set(ks)):
             raise InvalidArgument("support coranks must be distinct and sorted")
         if ks and ks[0] < 0:
             raise InvalidArgument("coranks must be >= 0")
-        if any(m < 0 for _, m in self.support):
+        if any(m < 0 for m in masses):
             raise InvalidArgument("negative mass")
-        if self.kind == "exact" and self.tail_bound != 0:
-            raise InvalidArgument("an exact law carries no tail")
         if self.tail_bound < 0 or self.total() + self.tail_bound != 1:
             raise InvalidArgument("masses + tail_bound must sum to exactly 1")
+
+    @property
+    def kind(self) -> str:
+        return "truncated-limit" if self.tail_bound > 0 else "exact"
 
     def total(self) -> Fraction:
         return fraction_sum(m for _, m in self.support)
@@ -97,10 +101,9 @@ def fraction_sum(xs) -> Fraction:
     return Fraction(sum(x.numerator * (den // x.denominator) for x in xs), den)
 
 
-def _pmf(masses: dict[int, Fraction], kind: str = "exact",
-         tail_bound: Fraction = ZERO) -> CorankPMF:
+def _pmf(masses: dict[int, Fraction], tail_bound: Fraction = ZERO) -> CorankPMF:
     support = tuple(sorted((k, m) for k, m in masses.items() if m != 0))
-    return CorankPMF(support=support, kind=kind, tail_bound=tail_bound)
+    return CorankPMF(support=support, tail_bound=tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +138,9 @@ def _limit_constant(q: int, step: int, tol: Fraction) -> Fraction:
 
 
 def _check_tol(tol) -> Fraction:
-    if not (0 < tol <= Fraction(1, 10**6)):  # also rejects a float nan
-        raise InvalidArgument("tol must satisfy 0 < tol <= 1e-6")
+    # the comparison also rejects a float nan
+    if not (isinstance(tol, numbers.Real) and 0 < tol <= Fraction(1, 10**6)):
+        raise InvalidArgument("tol must be a real number with 0 < tol <= 1e-6")
     if not isinstance(tol, float):
         return Fraction(tol)
     # a float is rounded to a denominator of at most 10^40, which would take
@@ -158,8 +162,8 @@ def uniform_square_pmf(n: int, f: Field) -> CorankPMF:
 def uniform_rect_pmf(n: int, m: int, f: Field) -> CorankPMF:
     """Exact corank law of a uniform n x (n+m) matrix (corank = n - rank):
     prod_{i<r} (q^n - q^i)(q^(n+m) - q^i) / (q^r - q^i) matrices have rank r."""
-    if n < 1 or m < 0:
-        raise InvalidArgument("need n >= 1, m >= 0")
+    if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 0):
+        raise InvalidArgument("need integers n >= 1, m >= 0")
     q = f.q
     masses = {}
     for k in range(n + 1):
@@ -174,8 +178,8 @@ def _mirrored_pmf(n: int, f: Field, alt: bool) -> CorankPMF:
     """MacWilliams' law of a uniform symmetric (alt False) or alternating matrix:
     mass(k) = prod_{i<n-k} (q^(n-i) - 1) prod_{i=1}^{(n-k)//2} q^(2i) / (q^(2i) - 1)
     / q^(n(n+1)/2); alternating has q^(2i-2), q^(n(n-1)/2) and k = n mod 2 there."""
-    if n < 1:
-        raise InvalidArgument("need n >= 1")
+    if not (_is_int(n) and n >= 1):
+        raise InvalidArgument("need an integer n >= 1")
     if alt and f.q % 2 == 0:
         raise EvenCharacteristic("alternating model requires odd q")
     q, a = f.q, int(alt)
@@ -220,8 +224,7 @@ def _truncated_limit(f: Field, tol, c_step: int, first: int, step: int,
         weights[k] = weight(k)
         acc += weights[k]
         k += step
-    return _pmf({k: c * w for k, w in weights.items()}, kind="truncated-limit",
-                tail_bound=1 - c * acc)
+    return _pmf({k: c * w for k, w in weights.items()}, tail_bound=1 - c * acc)
 
 
 def limit_square_pmf(f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
@@ -234,8 +237,8 @@ def limit_rect_pmf(m: int, f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     q^(-k(m+k)) prod_{i>k} (1 - q^-i) / prod_{i=1}^{m+k} (1 - q^-i), which is
     c = prod_{i>=1} (1 - q^-i) times q^(k + m(m+1)/2) / (prod_{i=1}^k (q^i - 1)
     prod_{i=1}^{m+k} (q^i - 1))."""
-    if m < 0:
-        raise InvalidArgument("need m >= 0")
+    if not (_is_int(m) and m >= 0):
+        raise InvalidArgument("need an integer m >= 0")
     q = f.q
     return _truncated_limit(f, tol, 1, 0, 1, lambda k: Fraction(
         q ** (k + m * (m + 1) // 2), _qprod(q, 1, k)[0] * _qprod(q, 1, m + k)[0]))

@@ -109,9 +109,7 @@ def _is_irreducible(m: int, p: int) -> bool:
 
 
 def _least_irreducible(p: int, k: int) -> int:
-    for m in range(p**k, 2 * p**k):
-        if _poly_coeffs(m, p)[-1] != 1:
-            continue
+    for m in range(p**k, 2 * p**k):  # the monic polynomials of degree k
         if _is_irreducible(m, p):
             return m
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate

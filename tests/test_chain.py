@@ -8,7 +8,8 @@ from fqrank import chain
 from fqrank.chain import (ChainSpec, delta_pmf, enumerate_positive_paths,
                           evolve, hit_zero_prob, most_likely_positive_path,
                           path_probability, planted_pmf, transition)
-from fqrank.distributions import uniform_alt_pmf, uniform_sym_pmf, uniform_square_pmf
+from fqrank.distributions import (CorankPMF, limit_rect_pmf, limit_sym_pmf, uniform_alt_pmf,
+                                  uniform_rect_pmf, uniform_sym_pmf, uniform_square_pmf)
 from fqrank.errors import EvenCharacteristic, InvalidArgument
 from fqrank.field import field_new
 
@@ -234,3 +235,59 @@ def test_enumerate_positive_paths_refuses_x0_below_1():
             with pytest.raises(InvalidArgument, match="x0 >= 1"):
                 enumerate_positive_paths(spec, x0, 2)
         assert all(min(path) >= 1 for path, _ in enumerate_positive_paths(spec, 1, 4))
+
+
+def _positive_paths_by_product(spec, x0, steps):
+    """Every strictly positive path from x0 with its product of transition()
+    probabilities, over all step sequences in (-1, 0, +1)."""
+    for moves in itertools.product((-1, 0, 1), repeat=steps):
+        path = tuple(itertools.accumulate(moves, initial=x0))
+        if min(path) >= 1:
+            prob = Fraction(1)
+            for k, d in zip(path, moves):
+                prob *= transition(spec.kind, k, spec.field)[d + 1]
+            yield path, prob
+
+
+def test_hit_zero_prob_is_one_minus_the_positive_paths():
+    """Not touching 0 within s steps is taking a strictly positive path."""
+    cases = [ChainSpec("symmetric", field_new(q)) for q in (2, 3, 5)]
+    cases += [ChainSpec("alternating", F3), ChainSpec("iid-column", F3, n=4)]
+    for spec in cases:
+        for x0 in range(1, 5):
+            for steps in range(8):
+                stay_positive = sum(p for _, p in _positive_paths_by_product(spec, x0, steps))
+                assert hit_zero_prob(spec, x0, steps) == 1 - stay_positive, (spec, x0, steps)
+
+
+_SYM3 = ChainSpec("symmetric", F3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: delta_pmf(1.5),
+    lambda: CorankPMF(((0, Fraction(1, 2)), (True, Fraction(1, 2)))),
+    lambda: CorankPMF(((0, 0.5), (1, 0.5))),
+    lambda: ChainSpec("iid-column", F3, n=2.5),
+    lambda: ChainSpec("iid-column", F3, n=True),
+    lambda: ChainSpec("symmetric", 3),
+    lambda: evolve(_SYM3, delta_pmf(0), True),
+    lambda: evolve(_SYM3, delta_pmf(0), 2.5),
+    lambda: hit_zero_prob(_SYM3, 2, True),
+    lambda: hit_zero_prob(_SYM3, 1.5, 3),
+    lambda: most_likely_positive_path(_SYM3, 2.5, 3),
+    lambda: enumerate_positive_paths(_SYM3, 2, 2.5),
+    lambda: path_probability(_SYM3, [1.5, 0.5]),
+    lambda: transition("symmetric", 1.5, F3),
+    lambda: uniform_rect_pmf(True, 0, F3),
+    lambda: uniform_rect_pmf(2.5, 0, F3),
+    lambda: uniform_sym_pmf(2.5, F3),
+    lambda: limit_rect_pmf(1.5, F3),
+    lambda: limit_sym_pmf(F3, tol="1e-9"),
+], ids=["delta-float", "pmf-bool-corank", "pmf-float-mass", "spec-float-n", "spec-bool-n",
+        "spec-int-field", "evolve-bool-steps", "evolve-float-steps", "hit-bool-steps",
+        "hit-float-x0", "path-float-x0", "enumerate-float-steps", "path-prob-floats",
+        "transition-float-k", "rect-bool-n", "rect-float-n", "sym-float-n",
+        "limit-rect-float-m", "limit-sym-str-tol"])
+def test_exact_laws_and_chains_take_integers_only(call):
+    with pytest.raises(InvalidArgument):
+        call()

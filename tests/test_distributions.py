@@ -32,9 +32,7 @@ def test_pmf_invariants():
     with pytest.raises(InvalidArgument):  # coranks are >= 0
         CorankPMF(support=((-1, Fraction(1)),))
     with pytest.raises(InvalidArgument):  # a truncated law balances exactly too
-        CorankPMF(support=((0, 1 - Fraction(1, 10**13)),), kind="truncated-limit")
-    with pytest.raises(InvalidArgument):  # no kind but the two
-        CorankPMF(support=((0, Fraction(1)),), kind="approximate")
+        CorankPMF(support=((0, 1 - Fraction(1, 10**13)),), tail_bound=Fraction(1, 10**14))
 
 
 def test_pmf_accessors_and_json():
@@ -265,7 +263,7 @@ def test_fraction_sum_equals_naive_sum():
     laws = [limit_square_pmf(F3, TOL), limit_alt_pmf(field_new(5), "odd", TOL),
             uniform_sym_pmf(6, F3), uniform_rect_pmf(4, 2, F2),
             CorankPMF.from_counts({0: 7, 2: 3, 5: 1}, 11),
-            CorankPMF((), kind="truncated-limit", tail_bound=Fraction(1))]
+            CorankPMF((), tail_bound=Fraction(1))]
     for a in laws:
         masses = [m for _, m in a.support]
         total = fraction_sum(masses)
