@@ -45,6 +45,8 @@ class ChainSpec:
             raise InvalidArgument(f"a chain's field must be a Field, not {self.field!r}")
         if self.n is not None and not _is_int(self.n):
             raise InvalidArgument("the ambient dimension n must be an integer")
+        if self.n is not None and self.kind != "iid-column":
+            raise InvalidArgument("the ambient dimension n is read only by iid-column")
         if self.kind == "alternating" and self.field.q % 2 == 0:
             raise EvenCharacteristic("alternating chain requires odd q")
         if self.kind == "iid-column" and (self.n is None or self.n < 1):

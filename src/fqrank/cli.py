@@ -159,8 +159,6 @@ def cmd_mc(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    if args.n is not None and args.kind != "iid-column":
-        raise InvalidArgument("--n is read only by iid-column")
     if args.csv and (args.hit_zero or args.path):
         raise InvalidArgument("--csv writes a PMF, which --hit-zero and --path do not give")
     f = field_new(args.q)

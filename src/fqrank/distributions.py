@@ -55,6 +55,11 @@ class CorankPMF:
             raise InvalidArgument("coranks must be integers")
         if not all(_is_int(m) or isinstance(m, Fraction) for m in masses + [self.tail_bound]):
             raise InvalidArgument("masses and tail_bound must be ints or Fractions")
+        # numpy integers pass both tests; keep Python ints, which json writes
+        object.__setattr__(self, "support", tuple(
+            (int(k), m if isinstance(m, Fraction) else int(m)) for k, m in self.support))
+        if not isinstance(self.tail_bound, Fraction):
+            object.__setattr__(self, "tail_bound", int(self.tail_bound))
         if ks != sorted(set(ks)):
             raise InvalidArgument("support coranks must be distinct and sorted")
         if ks and ks[0] < 0:

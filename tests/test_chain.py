@@ -26,6 +26,16 @@ def test_chain_spec_validation():
         ChainSpec("iid-column", F3)  # missing n
 
 
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+@pytest.mark.parametrize("n", [0, 5])
+def test_chain_spec_refuses_an_n_it_would_ignore(kind, n):
+    """Only the iid-column chain reads n; a symmetric or alternating spec
+    given one would run a chain its caller did not ask for."""
+    with pytest.raises(InvalidArgument, match="iid-column"):
+        ChainSpec(kind, F3, n=n)
+    assert ChainSpec(kind, F3).n is None
+
+
 def test_transition_known_values():
     assert transition("symmetric", 0, F2) == (0, Fraction(1, 2), Fraction(1, 2))
     assert transition("alternating", 0, F3) == (0, 0, 1)

@@ -1,7 +1,9 @@
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fqrank.distributions import (CorankPMF, fraction_sum, limit_alt_pmf, limit_pmf,
@@ -41,6 +43,20 @@ def test_pmf_accessors_and_json():
     assert pmf.mass(5) == 0
     assert pmf.total() == 1
     assert '"9/16"' in pmf.to_json()
+
+
+def test_pmf_stores_python_ints():
+    """numpy integers pass CorankPMF's integer tests; the law keeps them as
+    Python ints, so json writes it and equal laws compare and hash alike."""
+    law = CorankPMF(((np.int64(0), Fraction(1, 2)), (np.int32(2), np.int64(0)),
+                     (np.uint8(3), Fraction(1, 2))), tail_bound=np.int64(0))
+    assert [type(k) for k, _ in law.support] == [int] * 3
+    assert type(law.support[1][1]) is int and type(law.tail_bound) is int
+    assert json.loads(law.to_json())["support"] == [[0, "1/2"], [2, "0/1"], [3, "1/2"]]
+    plain = CorankPMF(((0, Fraction(1, 2)), (2, 0), (3, Fraction(1, 2))), tail_bound=0)
+    assert law == plain and hash(law) == hash(plain)
+    assert CorankPMF(((np.int64(0), Fraction(1)),)).to_json() == \
+        CorankPMF(((0, Fraction(1)),)).to_json()
 
 
 def test_square_small_values():

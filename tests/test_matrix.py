@@ -145,6 +145,84 @@ def test_rank_stack_working_type_holds_every_entry(monkeypatch, q, C, dtype):
         assert peak == (C - 1) * (q - 1) ** 2
 
 
+def _full_rank(f, rng, n):
+    while True:
+        a = rng.integers(0, f.q, size=(n, n))
+        if _oracle_rank(f, a) == n:
+            return a
+
+
+def _mixed_stack(f, rng, n):
+    """Full-rank and rank-one matrices, full-rank ones with a zero first,
+    middle or last column, and alternating ones of odd n (corank >= 1)."""
+    full = [_full_rank(f, rng, n) for _ in range(3)]
+    u, v = rng.integers(1, f.q, size=(2, 2, n))
+    u[:, ::3] = 0
+    rank_one = [f.vec.mul(u[i][:, None], v[i][None, :]) for i in range(2)]
+    zero_col = [_full_rank(f, rng, n) for _ in range(3)]
+    for a, j in zip(zero_col, (0, n // 2, n - 1)):
+        a[:, j] = 0
+    alternating = []
+    for _ in range(2):
+        x = rng.integers(0, f.q, size=(n, n))
+        a = f.vec.sub(x, x.T)
+        np.fill_diagonal(a, 0)
+        alternating.append(a)
+    return np.stack(full + rank_one + zero_col + alternating)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 101])
+def test_rank_stack_rank_does_not_depend_on_the_stack(q):
+    """Whether a step retires a row depends on every matrix in the stack, so
+    no matrix's rank may: the stack, each matrix alone, a shuffled copy,
+    splits and pairs of it all give FqMatrix.rank's ranks."""
+    f = field_new(q)
+    rng = np.random.default_rng(q)
+    n = 7
+    stack = _mixed_stack(f, rng, n)
+    ranks = [_oracle_rank(f, a) for a in stack]
+    assert {1, n - 1, n} <= set(ranks)
+    assert rank_stack(stack, q).tolist() == ranks
+    assert [int(rank_stack(a[None], q)[0]) for a in stack] == ranks
+    order = rng.permutation(len(stack))
+    assert rank_stack(stack[order], q).tolist() == [ranks[i] for i in order]
+    for k in range(1, len(stack)):
+        assert rank_stack(stack[:k], q).tolist() + rank_stack(stack[k:], q).tolist() == ranks
+    for i in range(1, len(stack)):  # a full-rank matrix beside each other one
+        assert rank_stack(stack[[0, i]], q).tolist() == [n, ranks[i]]
+
+
+@pytest.mark.parametrize("q", [2, 9, 101])
+@pytest.mark.parametrize("j", [None, 0, 3, 5])
+def test_rank_stack_retires_a_row_where_every_matrix_has_a_pivot(monkeypatch, q, j):
+    """A column step where every matrix has a pivot drops a row, so each
+    sub_mul runs on one row fewer than the last; at column j one matrix has
+    no pivot, and that step keeps the row count of the step before."""
+    f = field_new(q)
+    rows = []
+    sub_mul = f.vec.sub_mul
+    monkeypatch.setattr(f.vec, "sub_mul",
+                        lambda x, a, b: rows.append(x.shape[1]) or sub_mul(x, a, b))
+    n = 6
+    rng = np.random.default_rng(q)
+    stack = np.stack([_full_rank(f, rng, n) for _ in range(4)])
+    if j is not None:
+        stack[2, :, j] = 0
+    assert rank_stack(stack, q).tolist() == [n, n, n - (j is not None), n]
+    retiring = [i for i in range(n) if i != j]
+    assert rows == [n - sum(r <= i for r in retiring) for i in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 9, 101])
+@pytest.mark.parametrize("shape", [(0, 3, 4), (0, 0, 0), (3, 0, 4), (3, 4, 0), (2, 0, 0)])
+def test_rank_stack_edge_shapes(q, shape):
+    f = field_new(q)
+    stack = np.zeros(shape, dtype=np.int64)
+    ranks = rank_stack(stack, q)
+    assert ranks.shape == (shape[0],)
+    assert ranks.tolist() == [_oracle_rank(f, a) for a in stack]
+
+
 def test_rref_pivots():
     M = FqMatrix.from_rows(F3, [[0, 2, 1], [1, 1, 0]])
     red, pivots = M.rref()
