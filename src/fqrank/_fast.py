@@ -1,6 +1,5 @@
 """Vectorized elimination kernel used by the GL sampler, the Monte Carlo
-harness and corank_of_sample (the corank fqrank sample prints), on every
-field F_q.
+harness and the corank fqrank sample prints, on every field F_q.
 
 Elements are integer arrays with entries in [0, q); all arithmetic goes
 through Field.vec.  rank_stack eliminates a whole (B, R, C) stack of

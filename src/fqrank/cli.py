@@ -26,11 +26,12 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
+from ._fast import rank_mod_p
 from .distributions import LAW_KINDS, CorankPMF, int_str, limit_pmf, uniform_pmf
 from .errors import FqRankError, InvalidArgument
 from .field import field_new
 from .matrix import dumps_matrix
-from .models import (GL_KINDS, EntryDist, ModelSpec, corank_of_sample, sample,
+from .models import (GL_KINDS, EntryDist, ModelSpec, _as_matrix, derive_rng, sample_array,
                      validate_conditions)
 from . import chain as chain_mod
 from . import harness
@@ -116,9 +117,10 @@ def cmd_sample(args) -> int:
     if not math.isfinite(args.alpha):
         raise InvalidArgument("--alpha must be finite")
     spec = _load_spec(args.spec)
+    arr = sample_array(spec, derive_rng(args.seed, args.trial))
     out = {
-        "matrix": dumps_matrix(sample(spec, args.seed, args.trial)),
-        "corank": corank_of_sample(spec, args.seed, args.trial),
+        "matrix": dumps_matrix(_as_matrix(spec.field, arr)),
+        "corank": arr.shape[0] - rank_mod_p(arr, spec.field.q),
         "conditions": validate_conditions(spec, args.alpha),
     }
     _emit(out)

@@ -408,10 +408,15 @@ def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> Verificatio
     """Chi-square goodness of fit of the uniform-gl sampler, as Monte Carlo
     draws it in blocks, against the uniform law on the enumerated elements
     of GL_n(F_q) (small n only); the enumeration must find all
-    prod_{i<n} (q^n - q^i) of them."""
+    prod_{i<n} (q^n - q^i) of them.  It refuses q^(n^2) > 10^7 matrices,
+    brute_force_pmf's guard."""
+    if not (_is_int(n) and _is_int(trials) and n >= 1 and trials >= 1):
+        raise InvalidArgument("gl_uniformity_check needs integers n >= 1 and trials >= 1")
+    q = f.q
+    if n >= 5 or q ** (n * n) > 10**7:  # n >= 5 holds 2^25 > 10^7 matrices on any field
+        raise TooLargeToEnumerate(f"q^{n * n} matrices exceed the guard")
     from scipy.stats import chi2
 
-    q = f.q
     # 1 + the cell of each matrix, keyed by its entries read as a base-q
     # number; 0 for a singular matrix
     cell = np.zeros(q ** (n * n), dtype=np.int64)

@@ -13,9 +13,12 @@ bucket can select, so for D <= 2^16 a draw is one table gather; larger D
 add a few vectorised correction rounds.  No floating-point thresholds.
 
 Every GL draw, a lone sample_gl included, is its stream's first invertible
-whole-matrix candidate (full_rank_stack).  A rejection round ranks all its
-candidates at once: by rank_stack, or by the scalar rank_rows when there
-are too few for numpy's per-call cost to pay.  Both ranks are exact.
+whole-matrix candidate (full_rank_stack), whatever the number k of
+candidates a rejection round draws; k fixes only where the stream is left.
+A large round ranks all its candidates by one rank_stack call.  A round too
+small for numpy's per-call cost to pay runs one stream at a time: the scalar
+rank_rows ranks its candidates in order and stops at the first invertible
+one.  Both ranks are exact.
 """
 
 from __future__ import annotations
@@ -514,27 +517,42 @@ def full_rank_stack(rngs: list[np.random.Generator], rows: int, cols: int,
     """For each generator, the first rows x cols candidate of full column
     rank in its stream, stacked into a (len(rngs), rows, cols) array.
 
-    Each round, every pending stream draws k = candidates_per_call(rows,
-    cols, q) candidates with one integers() call, all pending candidates are
-    ranked at once, and each stream keeps its first full-rank one.  A round
-    of at most SCALAR_RANK_ENTRIES entries is ranked by rank_rows, a larger
-    one by one rank_stack call; both are exact.  A draw depends only on its
-    stream and on k, so how the streams are grouped into stacks never
-    changes it.  A full-rank candidate is uniform on the full-rank matrices:
-    every rejected candidate is thrown away whole."""
+    A stream draws its candidates in rounds of k = candidates_per_call(rows,
+    cols, q), one integers() call each.  A draw is its stream's first
+    full-rank candidate whatever k is; k fixes only where the stream is
+    left, at the end of the round that held the draw.  A round of more than
+    SCALAR_RANK_ENTRIES entries over all pending streams is ranked by one
+    rank_stack call.  Once a round is that small, so is every later one, and
+    each pending stream runs its own rounds: rank_rows ranks its candidates
+    in order and stops at the first of full rank.  Both ranks are exact, so
+    how the streams are grouped into stacks never changes a draw or where a
+    stream is left.  A full-rank candidate is uniform on the full-rank
+    matrices: every rejected candidate is thrown away whole."""
     k = candidates_per_call(rows, cols, q)
     out = np.empty((len(rngs), rows, cols), dtype=np.int64)
     todo = np.arange(len(rngs))
-    while todo.size:
+    while todo.size * k * rows * cols > SCALAR_RANK_ENTRIES:
         cand = np.stack([rngs[i].integers(0, q, size=(k, rows, cols)) for i in todo])
-        flat = cand.reshape(todo.size * k, rows, cols)
-        ranks = (rank_stack(flat, q) if flat.size > SCALAR_RANK_ENTRIES
-                 else [rank_rows(m, field_new(q)) for m in flat.tolist()])
-        ok = (np.asarray(ranks) == cols).reshape(-1, k)
+        ok = (rank_stack(cand.reshape(-1, rows, cols), q) == cols).reshape(-1, k)
         hit = ok.any(axis=1)
         out[todo[hit]] = cand[hit, ok[hit].argmax(axis=1)]
         todo = todo[~hit]
+    f = field_new(q)
+    for i in todo.tolist():
+        out[i] = _first_full_rank(rngs[i], k, rows, cols, f)
     return out
+
+
+def _first_full_rank(rng: np.random.Generator, k: int, rows: int, cols: int,
+                     f: Field) -> np.ndarray:
+    """The first rows x cols candidate of full column rank in rng's stream,
+    drawn in rounds of k by one integers() call each, as full_rank_stack
+    draws them, and ranked in stream order by rank_rows."""
+    while True:
+        cand = rng.integers(0, f.q, size=(k, rows, cols))
+        for j, c in enumerate(cand.tolist()):
+            if rank_rows(c, f) == cols:
+                return cand[j]
 
 
 def ranked_entries(spec: ModelSpec) -> int:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fqrank import models
 from fqrank.cli import main
 from fqrank.matrix import FqMatrix, loads_matrix
 
@@ -102,6 +103,24 @@ def test_sample_corank_comes_from_the_stack_kernel(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(FqMatrix, "rank", scalar_rank)
     monkeypatch.setattr(FqMatrix, "corank", scalar_rank)
     assert outputs() == before
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "symmetric", "q": 3, "n": 4},
+    {"kind": "uniform-gl", "q": 2, "n": 3},
+    {"kind": "gl-corner", "q": 5, "n": 4, "n_prime": 2},
+])
+def test_sample_draws_its_matrix_once(tmp_path, capsys, monkeypatch, spec):
+    # the printed matrix and its corank come from one draw, GL rejection included
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    calls = []
+    draw = models.sample_stack
+    monkeypatch.setattr(models, "sample_stack",
+                        lambda *args: calls.append(1) or draw(*args))
+    code, obj = run(capsys, "sample", str(path), "--seed", "3", "--trial", "2")
+    assert code == 0 and len(calls) == 1
+    assert obj["corank"] == loads_matrix(obj["matrix"]).corank()
 
 
 def test_mc_subcommand_with_reference(tmp_path, capsys):

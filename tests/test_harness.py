@@ -463,6 +463,22 @@ def test_gl_uniformity_small():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n, q, trials, error", [
+    (2, 2, -5, InvalidArgument), (2, 2, 0, InvalidArgument), (2, 2, 2.5, InvalidArgument),
+    (2.0, 2, 100, InvalidArgument), (True, 2, 100, InvalidArgument),
+    (0, 2, 100, InvalidArgument), (-1, 2, 100, InvalidArgument),
+    (5, 2, 100, TooLargeToEnumerate),  # 2^25 cells
+    (4, 3, 100, TooLargeToEnumerate),  # 3^16
+    (3, 7, 100, TooLargeToEnumerate),  # 7^9
+    (10**9, 2, 100, TooLargeToEnumerate),
+])
+def test_gl_uniformity_check_refuses_what_it_cannot_check(n, q, trials, error):
+    # trials=-5 passed with chi_square -5.0, trials=0 gave NaN, n=2.0 a bare
+    # TypeError; a grid past brute_force_pmf's 10^7 guard is refused unranked
+    with pytest.raises(error):
+        gl_uniformity_check(n, field_new(q), trials, seed=1)
+
+
 def test_gl_uniformity_fails_unrejected_draws(monkeypatch):
     """Negative control for criterion 4: the gate's check, with its trials
     and seeds, fails uniform n x n draws that skip the rejection step."""

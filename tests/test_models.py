@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -599,6 +600,43 @@ def test_full_rank_stack_same_under_either_rank(monkeypatch, rows, cols, q):
             rngs = [derive_rng(23, t) for t in range(streams)]
             draws.append(full_rank_stack(rngs, rows, cols, q))
         assert np.array_equal(*draws), (rows, cols, q, streams)
+
+
+@pytest.mark.parametrize("n, q, digest", [
+    (1, 2, "afb6cecb558a0858"), (2, 2, "083adfc9fec7208d"), (2, 3, "8d761b5aba72c4a2"),
+    (3, 4, "a6ebd4acf82c28b9"), (4, 5, "29b687bf7cb3635f"),
+])
+def test_lone_gl_draws_are_pinned(n, q, digest):
+    # 400 lone draws, hashed; the digests were computed before lone rounds
+    # ran one stream at a time, which must change no draw
+    f = field_new(q)
+    h = hashlib.sha256()
+    for t in range(400):
+        h.update(bytes(sample_gl(n, f, 41, t).entries))
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("rows, cols, q, digest", [
+    (1, 1, 2, "ead11463b081c0e0"), (2, 2, 2, "0d6f4e1d52b58504"),
+    (2, 2, 3, "c038ecb9dd3b786a"), (5, 5, 3, "15d8a2b334fc8841"),
+    (8, 8, 2, "504be0c2b6e6999a"), (12, 12, 7, "1b8ddb37eaf3f998"),
+    (6, 3, 5, "2b93e3a15c361d8c"),  # odlyzko_check's bases, after which it draws x
+    (4, 4, 9, "d8c691e856f8b433"), (3, 3, 4, "1bb1f7d7cd9832af"),
+])
+def test_full_rank_stack_leaves_each_stream_where_it_did(monkeypatch, rows, cols, q, digest):
+    # the draws of 1 and 30 streams and each stream's next integers() draw
+    # after them, hashed: k candidates a round, no later round grown and no
+    # candidate drawn ahead, under either rank (cutoffs as in
+    # test_full_rank_stack_same_under_either_rank)
+    for cutoff in (0, 10**9):
+        monkeypatch.setattr(models, "SCALAR_RANK_ENTRIES", cutoff)
+        h = hashlib.sha256()
+        for streams in (1, 30):
+            rngs = [derive_rng(29, t) for t in range(streams)]
+            h.update(full_rank_stack(rngs, rows, cols, q).tobytes())
+            for rng in rngs:
+                h.update(rng.integers(0, q, size=(rows, cols)).tobytes())
+        assert h.hexdigest()[:16] == digest, cutoff
 
 
 def test_candidates_per_call():
