@@ -25,9 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distributions import CorankPMF, _pmf
-from .errors import EvenCharacteristic, InvalidArgument
+from .errors import EvenCharacteristic, InvalidArgument, need_int
 from .field import Field
-from .models import _is_int
 
 CHAIN_KINDS = ("symmetric", "alternating", "iid-column")
 
@@ -43,21 +42,17 @@ class ChainSpec:
             raise InvalidArgument(f"unknown chain kind {self.kind!r}")
         if not isinstance(self.field, Field):
             raise InvalidArgument(f"a chain's field must be a Field, not {self.field!r}")
-        if self.n is not None and not _is_int(self.n):
-            raise InvalidArgument("the ambient dimension n must be an integer")
-        if self.n is not None and self.kind != "iid-column":
+        if self.kind == "iid-column":  # refuses a missing n too
+            object.__setattr__(self, "n", need_int("iid-column's ambient dimension n", self.n, 1))
+        elif self.n is not None:
             raise InvalidArgument("the ambient dimension n is read only by iid-column")
         if self.kind == "alternating" and self.field.q % 2 == 0:
             raise EvenCharacteristic("alternating chain requires odd q")
-        if self.kind == "iid-column" and (self.n is None or self.n < 1):
-            raise InvalidArgument("iid-column chain needs ambient dimension n >= 1")
 
 
 def transition(kind: str, k: int, f: Field) -> tuple[Fraction, Fraction, Fraction]:
     """Exact one-step (down, stay, up) probabilities from corank k."""
-    if not (_is_int(k) and k >= 0):
-        raise InvalidArgument("corank must be an integer >= 0")
-    q = f.q
+    k, q = need_int("corank", k, 0), f.q
     qk = Fraction(1, q**k)
     if kind == "symmetric":
         return 1 - qk, qk - qk / q, qk / q
@@ -69,11 +64,6 @@ def transition(kind: str, k: int, f: Field) -> tuple[Fraction, Fraction, Fractio
         # state = codimension of the span; a new column leaves it or not
         return 1 - qk, qk, Fraction(0)
     raise InvalidArgument(f"unknown chain kind {kind!r}")
-
-
-def _check_steps(steps: int) -> None:
-    if not (_is_int(steps) and steps >= 0):
-        raise InvalidArgument("steps must be an integer >= 0")
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +88,7 @@ def evolve(spec: ChainSpec, initial: CorankPMF, steps: int) -> CorankPMF:
     delta at 0 is the empty matrix) and the returned PMF is over the span
     codimension n - dim, which equals the matrix corank once steps = n.
     """
-    _check_steps(steps)
+    steps = need_int("steps", steps, 0)
     if spec.kind == "iid-column":
         dist = {spec.n - dim: p for dim, p in initial.support}
         if any(k < 0 for k in dist):
@@ -119,11 +109,7 @@ def hit_zero_prob(spec: ChainSpec, x0: int, steps: int) -> Fraction:
     `steps` steps: the mass that lands on 0 after each step is counted and
     taken out of the chain.  On iid-column, x0 is the span codimension, at
     most n."""
-    if not (_is_int(x0) and x0 >= 0):
-        raise InvalidArgument("x0 must be an integer >= 0")
-    if spec.kind == "iid-column" and x0 > spec.n:
-        raise InvalidArgument("the span codimension x0 exceeds ambient n")
-    _check_steps(steps)
+    x0, steps = need_int("x0", x0, 0, spec.n), need_int("steps", steps, 0)
     dist = {x0: Fraction(1)}
     hit = dist.pop(0, Fraction(0))
     for _ in range(steps):
@@ -136,8 +122,7 @@ def path_probability(spec: ChainSpec, path: list[int]) -> Fraction:
     """Exact probability of a given corank path (consecutive transitions)."""
     if not path:
         raise InvalidArgument("a path needs at least one corank")
-    if not all(_is_int(k) and k >= 0 for k in path):
-        raise InvalidArgument("coranks must be integers >= 0")
+    path = [need_int("corank", k, 0) for k in path]
     prob = Fraction(1)
     for k, k2 in zip(path, path[1:]):
         move = dict(_moves(spec.kind, k, spec.field)).get(k2)
@@ -154,9 +139,7 @@ def most_likely_positive_path(spec: ChainSpec, x0: int, steps: int
     leftover step in the symmetric chain)."""
     if spec.kind not in ("symmetric", "alternating"):
         raise InvalidArgument("positive-path claim applies to symmetric/alternating")
-    if not (_is_int(x0) and x0 >= 1):
-        raise InvalidArgument("a strictly positive path needs an integer x0 >= 1")
-    _check_steps(steps)
+    x0, steps = need_int("x0", x0, 1), need_int("steps", steps, 0)
     path = list(range(x0, max(x0 - steps, 1) - 1, -1))
     left = steps + 1 - len(path)
     path += [2, 1] * (left // 2)
@@ -181,9 +164,7 @@ def enumerate_positive_paths(spec: ChainSpec, x0: int, steps: int):
     the list holds only tuples of ints and Fractions, which form no reference
     cycles, so a collection there would traverse every new pair and free
     nothing.  The caller's collector state is restored on every exit."""
-    if not (_is_int(x0) and x0 >= 1):
-        raise InvalidArgument("a strictly positive path needs an integer x0 >= 1")
-    _check_steps(steps)
+    x0, steps = need_int("x0", x0, 1), need_int("steps", steps, 0)
     D = spec.field.q ** (x0 + steps + 1)
     weights: dict[int, tuple[tuple[int, int], ...]] = {}
     for k in range(1, x0 + steps + 1):

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import EvenCharacteristic, InvalidArgument
+from .errors import EvenCharacteristic, InvalidArgument, need_int
 from .field import Field
-from .models import _is_int
 
 ZERO = Fraction(0)
 
@@ -49,21 +48,15 @@ class CorankPMF:
     tail_bound: Fraction = ZERO
 
     def __post_init__(self):
-        ks = [k for k, _ in self.support]
-        masses = [m for _, m in self.support]
-        if not all(map(_is_int, ks)):
-            raise InvalidArgument("coranks must be integers")
-        if not all(_is_int(m) or isinstance(m, Fraction) for m in masses + [self.tail_bound]):
-            raise InvalidArgument("masses and tail_bound must be ints or Fractions")
-        # numpy integers pass both tests; keep Python ints, which json writes
-        object.__setattr__(self, "support", tuple(
-            (int(k), m if isinstance(m, Fraction) else int(m)) for k, m in self.support))
-        if not isinstance(self.tail_bound, Fraction):
-            object.__setattr__(self, "tail_bound", int(self.tail_bound))
+        def exact(m):  # a Fraction, or an int stored as a Python int, which json writes
+            return m if isinstance(m, Fraction) else need_int("a mass or tail_bound "
+                                                              "that is not a Fraction", m)
+        ks = [need_int("corank", k, 0) for k, _ in self.support]
+        masses = [exact(m) for _, m in self.support]
+        object.__setattr__(self, "support", tuple(zip(ks, masses)))
+        object.__setattr__(self, "tail_bound", exact(self.tail_bound))
         if ks != sorted(set(ks)):
             raise InvalidArgument("support coranks must be distinct and sorted")
-        if ks and ks[0] < 0:
-            raise InvalidArgument("coranks must be >= 0")
         if any(m < 0 for m in masses):
             raise InvalidArgument("negative mass")
         if self.tail_bound < 0 or self.total() + self.tail_bound != 1:
@@ -167,9 +160,7 @@ def uniform_square_pmf(n: int, f: Field) -> CorankPMF:
 def uniform_rect_pmf(n: int, m: int, f: Field) -> CorankPMF:
     """Exact corank law of a uniform n x (n+m) matrix (corank = n - rank):
     prod_{i<r} (q^n - q^i)(q^(n+m) - q^i) / (q^r - q^i) matrices have rank r."""
-    if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 0):
-        raise InvalidArgument("need integers n >= 1, m >= 0")
-    q = f.q
+    n, m, q = need_int("n", n, 1), need_int("m", m, 0), f.q
     masses = {}
     for k in range(n + 1):
         r = n - k
@@ -183,8 +174,7 @@ def _mirrored_pmf(n: int, f: Field, alt: bool) -> CorankPMF:
     """MacWilliams' law of a uniform symmetric (alt False) or alternating matrix:
     mass(k) = prod_{i<n-k} (q^(n-i) - 1) prod_{i=1}^{(n-k)//2} q^(2i) / (q^(2i) - 1)
     / q^(n(n+1)/2); alternating has q^(2i-2), q^(n(n-1)/2) and k = n mod 2 there."""
-    if not (_is_int(n) and n >= 1):
-        raise InvalidArgument("need an integer n >= 1")
+    n = need_int("n", n, 1)
     if alt and f.q % 2 == 0:
         raise EvenCharacteristic("alternating model requires odd q")
     q, a = f.q, int(alt)
@@ -242,9 +232,7 @@ def limit_rect_pmf(m: int, f: Field, tol=Fraction(1, 10**12)) -> CorankPMF:
     q^(-k(m+k)) prod_{i>k} (1 - q^-i) / prod_{i=1}^{m+k} (1 - q^-i), which is
     c = prod_{i>=1} (1 - q^-i) times q^(k + m(m+1)/2) / (prod_{i=1}^k (q^i - 1)
     prod_{i=1}^{m+k} (q^i - 1))."""
-    if not (_is_int(m) and m >= 0):
-        raise InvalidArgument("need an integer m >= 0")
-    q = f.q
+    m, q = need_int("m", m, 0), f.q
     return _truncated_limit(f, tol, 1, 0, 1, lambda k: Fraction(
         q ** (k + m * (m + 1) // 2), _qprod(q, 1, k)[0] * _qprod(q, 1, m + k)[0]))
 

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NotPrimePower, TooLarge
+from .errors import NotPrimePower, TooLarge, need_int
 
 MAX_Q = 1 << 16
 
@@ -119,6 +119,7 @@ class Field:
     """The finite field F_q, q = p^k <= 2^16."""
 
     def __init__(self, q: int):
+        q = need_int("q", q)
         if q > MAX_Q:
             raise TooLarge(f"q={q} exceeds the cap of 2^16")
         p, k = _factor_prime_power(q)
@@ -358,7 +359,8 @@ class BinaryArrays(TableArrays):
     sub = add
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def field_new(q: int) -> Field:
-    """Construct (and cache) the field with q elements."""
+    """Construct (and cache) the field with q elements; typed, so that 3.0 is
+    refused, not served the cached Field(3)."""
     return Field(q)

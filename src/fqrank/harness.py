@@ -38,10 +38,10 @@ from ._fast import rank_stack
 from .chain import (ChainSpec, delta_pmf, enumerate_positive_paths, evolve,
                     hit_zero_prob, most_likely_positive_path, planted_pmf)
 from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
-from .errors import InvalidArgument, InvalidSpec, NotPrimePower, TooLargeToEnumerate
+from .errors import InvalidArgument, InvalidSpec, NotPrimePower, TooLargeToEnumerate, need_int
 from .field import Field, _factor_prime_power, field_new
 from .matrix import FqMatrix, rank_rows
-from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, _is_int, band_type_f,
+from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, band_type_f,
                      candidates_per_call, derive_rng, full_rank_stack,
                      near_uniform_dist, ranked_entries, sample_stack,
                      uniform_entry_dist)
@@ -146,12 +146,8 @@ def worker_count() -> int:
 def mc_corank(spec: ModelSpec, trials: int, seed: int,
               threads: int | None = None) -> MCResult:
     """Empirical corank PMF from `trials` independently keyed samples."""
-    if not (_is_int(trials) and trials >= 1):
-        raise InvalidSpec("trials must be an integer >= 1")
-    if threads is None:
-        threads = worker_count()
-    elif not (_is_int(threads) and threads >= 1):
-        raise InvalidArgument(f"threads must be an integer >= 1, not {threads!r}")
+    trials, seed = need_int("trials", trials, 1), need_int("seed", seed)
+    threads = worker_count() if threads is None else need_int("threads", threads, 1)
     # a worker gets at least one block, so a one-block run stays serial
     threads = min(threads, math.ceil(trials / _block_size(ranked_entries(spec))))
     if threads == 1:
@@ -264,10 +260,8 @@ def odlyzko_check(n: int, d: int, k_bad: int, dist: EntryDist, trials: int,
                   seed: int, f: Field) -> VerificationReport:
     """Empirical P(X in V) for random codimension-d subspaces V against the
     (C/q)^(d - k_bad) bound; the first k_bad coordinates are held at 0."""
-    if not (all(map(_is_int, (n, d, k_bad, trials))) and n >= 1 and 0 <= d <= n
-            and 0 <= k_bad <= n and trials >= 1):
-        raise InvalidArgument("odlyzko_check needs integers n >= 1, 0 <= d <= n, "
-                              "0 <= k_bad <= n and trials >= 1")
+    n, trials = need_int("n", n, 1), need_int("trials", trials, 1)
+    d, k_bad = need_int("d", d, 0, n), need_int("k_bad", k_bad, 0, n)
     q = f.q
     hits = 0
     k = candidates_per_call(n, n - d, q)
@@ -334,9 +328,9 @@ def submatrix_fullrank_check(n: int, k: int, l: int, trials: int, seed: int,
                              f: Field) -> VerificationReport:
     """Frequency that the first k columns of a uniform GL_n draw restricted to
     the first l coordinates stay independent, against 1 - 2/q^(l-k)."""
-    if not (all(map(_is_int, (n, k, l, trials))) and 1 <= k <= l <= n and trials >= 1):
-        raise InvalidArgument("submatrix_fullrank_check needs integers 1 <= k <= l <= n "
-                              "and trials >= 1")
+    n, trials = need_int("n", n, 1), need_int("trials", trials, 1)
+    l = need_int("l", l, 1, n)
+    k = need_int("k", k, 1, l)
     q = f.q
     spec = ModelSpec(kind="uniform-gl", field=f, n=n)
     hits = sum(int((rank_stack(g[:, :l, :k], q) == k).sum())
@@ -409,9 +403,9 @@ def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> Verificatio
     draws it in blocks, against the uniform law on the enumerated elements
     of GL_n(F_q) (small n only); the enumeration must find all
     prod_{i<n} (q^n - q^i) of them.  It refuses q^(n^2) > 10^7 matrices,
-    brute_force_pmf's guard."""
-    if not (_is_int(n) and _is_int(trials) and n >= 1 and trials >= 1):
-        raise InvalidArgument("gl_uniformity_check needs integers n >= 1 and trials >= 1")
+    brute_force_pmf's guard.  It passes only on at least 5 expected draws a
+    cell, below which the chi-square law of the statistic does not hold."""
+    n, trials = need_int("n", n, 1), need_int("trials", trials, 1)
     q = f.q
     if n >= 5 or q ** (n * n) > 10**7:  # n >= 5 holds 2^25 > 10^7 matrices on any field
         raise TooLargeToEnumerate(f"q^{n * n} matrices exceed the guard")
@@ -438,9 +432,9 @@ def gl_uniformity_check(n: int, f: Field, trials: int, seed: int) -> Verificatio
     return VerificationReport(
         claim_id=f"gl-uniformity-n{n}-q{q}",
         computed={"chi_square": stat, "p_value": pvalue, "cells": cells,
-                  "singular": singular, "trials": trials},
-        bounds={"p_value_min": 1e-3, "cells": order},
-        passed=pvalue > 1e-3 and cells == order and singular == 0,
+                  "singular": singular, "trials": trials, "expected_per_cell": expected},
+        bounds={"p_value_min": 1e-3, "cells": order, "expected_min": 5},
+        passed=pvalue > 1e-3 and cells == order and singular == 0 and expected >= 5,
     )
 
 

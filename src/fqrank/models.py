@@ -35,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._fast import rank_mod_p, rank_stack
-from .errors import EmptySupport, FqRankError, InvalidArgument, InvalidSpec, TooLarge
+from .errors import EmptySupport, FqRankError, InvalidArgument, InvalidSpec, TooLarge, need_int
 from .field import Field, field_new
 from .matrix import FqMatrix, dumps_matrix, loads_matrix, rank_rows
 
@@ -49,11 +49,6 @@ MAX_ENTRIES = 1 << 22  # per matrix: a draw is a 32 MB int64 array at the cap
 MAX_DENOMINATOR = (1 << 63) - 1  # uniform integers and cumulative sums are int64
 SCALAR_RANK_ENTRIES = 192  # rejection rounds this small are ranked by rank_rows
 MAX_PROB_CHARS = 256  # a spec's probability strings: length and exponent magnitude
-
-
-def _is_int(x) -> bool:
-    """True for an integer; int() would read 2.7 as 2 and True as 1."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class _PhiloxKey:
@@ -100,8 +95,10 @@ class EntryDist:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not all(_is_int(c) or isinstance(c, Fraction) for c in self.probs):
-            raise InvalidSpec("entry probabilities must be integers or Fractions")
+        object.__setattr__(self, "probs", tuple(
+            c if isinstance(c, Fraction) else need_int(
+                "an entry probability that is not a Fraction", c, error=InvalidSpec)
+            for c in self.probs))
         if any(c < 0 for c in self.probs):
             raise InvalidSpec("negative entry probability")
         if sum(self.probs) != 1:
@@ -171,9 +168,8 @@ def uniform_entry_dist(f: Field) -> EntryDist:
 
 def near_uniform_dist(f: Field, zero_set) -> EntryDist:
     """Uniform on the complement of zero_set; C = q/(q - |zero_set|)."""
-    zero_set = frozenset(zero_set)
-    if any(not (_is_int(v) and 0 <= v < f.q) for v in zero_set):
-        raise InvalidSpec(f"zero_set elements must be integers in [0, {f.q})")
+    zero_set = frozenset(need_int("a zero_set element", v, 0, f.q - 1, InvalidSpec)
+                         for v in zero_set)
     support = f.q - len(zero_set)
     if support == 0:
         raise EmptySupport("zero_set covers all of F_q")
@@ -243,12 +239,10 @@ class ModelSpec:
         f = self.field
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
-        if not all(map(_is_int, (self.n, self.m, self.n_prime or 0))):
-            raise InvalidSpec("n, m and n_prime must be integers")
-        if self.n < 1:
-            raise InvalidSpec("n must be >= 1")
-        if self.m < 0 or (self.m and self.kind != "iid-rect"):
-            raise InvalidSpec("m must be >= 0, and 0 unless the kind is iid-rect")
+        object.__setattr__(self, "n", need_int("n", self.n, 1, error=InvalidSpec))
+        object.__setattr__(self, "m", need_int("m", self.m, 0, error=InvalidSpec))
+        if self.m and self.kind != "iid-rect":
+            raise InvalidSpec("m must be 0 unless the kind is iid-rect")
         if self.kind != "gl-corner" and self.n_prime is not None:
             raise InvalidSpec("n_prime is only for gl-corner")
         if not self.kind.startswith("planted") and self.planted is not None:
@@ -256,8 +250,8 @@ class ModelSpec:
         if self.kind in ("alternating", "planted-alternating") and f.q % 2 == 0:
             raise InvalidSpec("alternating models require odd q (parity)")
         if self.kind == "gl-corner":
-            if self.n_prime is None or not (1 <= self.n_prime <= self.n):
-                raise InvalidSpec("gl-corner needs 1 <= n_prime <= n (dimensions)")
+            object.__setattr__(self, "n_prime", need_int("gl-corner's n_prime", self.n_prime,
+                                                         1, self.n, InvalidSpec))
         if self.kind.startswith("planted"):
             if self.planted is None:
                 raise InvalidSpec("planted kind needs a planted corner matrix")
@@ -279,9 +273,17 @@ class ModelSpec:
         # a GL kind draws the whole n x n element, of which gl-corner keeps a corner
         _refuse_too_large(*((self.n, self.n) if self.kind in GL_KINDS else self.shape))
         rows, cols = self.shape
-        for i, j, _ in self.overrides:
-            if not (_is_int(i) and _is_int(j) and 0 <= i < rows and 0 <= j < cols):
-                raise InvalidSpec("override index out of range or not an integer")
+        object.__setattr__(self, "overrides", tuple(
+            (need_int("an override's row", i, 0, rows - 1, InvalidSpec),
+             need_int("an override's column", j, 0, cols - 1, InvalidSpec), d)
+            for i, j, d in self.overrides))
+        if self.type_f is not None:
+            sets, values = self.type_f.sets, self.type_f.values
+            object.__setattr__(self, "type_f", TypeFSpec(
+                tuple(tuple(need_int("an F index", r, 0, rows - 1, InvalidSpec) for r in s)
+                      for s in sets),
+                values and tuple(tuple(need_int("a fixed value", v, 0, f.q - 1, InvalidSpec)
+                                       for v in vs) for vs in values)))
         self.fixed_cells  # builds the cell sources, refusing a spec they contradict
 
     @property
@@ -314,10 +316,6 @@ class ModelSpec:
         for c, rset in enumerate(sets):
             for idx, r in enumerate(rset):
                 v = self.type_f.values[c][idx] if self.type_f.values else 0
-                if not (_is_int(r) and 0 <= r < rows):
-                    raise InvalidSpec("F index out of range or not an integer")
-                if not (_is_int(v) and 0 <= v < f.q):
-                    raise InvalidSpec("fixed value out of range or not an integer")
                 if r < m0 and c < m0:
                     raise InvalidSpec("F entry inside the planted corner")
                 writes.append((r, c, v))
@@ -379,9 +377,7 @@ class ModelSpec:
     @staticmethod
     def _from_obj(obj: dict) -> "ModelSpec":
         _refuse_unknown_keys(obj, _SPEC_KEYS)
-        if not _is_int(obj["q"]):  # field_new(3.0) could return the cached Field(3)
-            raise InvalidSpec("q must be an integer")
-        f = field_new(obj["q"])
+        f = field_new(need_int("q", obj["q"], error=InvalidSpec))
 
         def parse_dist(lst) -> EntryDist:
             probs = []
@@ -478,8 +474,7 @@ def sample_gl(n: int, f: Field, seed: int, trial: int = 0) -> FqMatrix:
     """A uniformly distributed element of GL_n(F_q): the same draw as
     sample of a uniform-gl spec with this (seed, trial).  It refuses every
     n that ModelSpec refuses, without building one per draw."""
-    if not _is_int(n) or n < 1:
-        raise InvalidSpec("n must be an integer >= 1")
+    n = need_int("n", n, 1, error=InvalidSpec)
     _refuse_too_large(n, n)
     return _as_matrix(f, full_rank_stack([derive_rng(seed, trial)], n, n, f.q)[0])
 

@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from itertools import product
 
 from .errors import (CodimensionTooLarge, DimensionMismatch, InvalidArgument,
-                     TooLargeToEnumerate)
+                     TooLargeToEnumerate, need_int)
 from .field import Field, field_new
 from .matrix import FqMatrix
 from .models import EntryDist
@@ -81,9 +81,7 @@ class StructureReport:
         have t*a_i outside T_i."""
         if self.T_sets is None:
             raise InvalidArgument("report built without K; no threshold sets")
-        if M < 0:
-            raise InvalidArgument("M must be >= 0")
-        f = field_new(self.q)
+        M, f = need_int("M", M, 0), field_new(self.q)
         for t in range(1, self.q):
             good = sum(
                 1 for i, ai in enumerate(self.a)
@@ -101,8 +99,7 @@ def rho(a, dists: list[EntryDist], F=(), K: float | None = None) -> StructureRep
     if len(a) != len(dists):
         raise DimensionMismatch("vector length != number of distributions")
     q = _one_field(dists)
-    if any(not 0 <= ai < q for ai in a):
-        raise InvalidArgument(f"coordinates must lie in [0, {q})")
+    a = tuple(need_int("a coordinate", ai, 0, q - 1) for ai in a)
     f = field_new(q)
     Fset = frozenset(F)
     mods = [moduli(d) for d in dists]
@@ -135,11 +132,11 @@ def _one_field(dists: list[EntryDist]) -> int:
     return qs.pop()
 
 
-def _check_fixed(fixed: dict[int, int], dists: list[EntryDist]) -> None:
+def _check_fixed(fixed: dict[int, int], dists: list[EntryDist]) -> dict[int, int]:
+    """fixed, its coordinates in [0, m) and values in [0, q) stored as ints."""
     m, q = len(dists), _one_field(dists)
-    if any(i not in range(m) or v not in range(q) for i, v in fixed.items()):
-        raise InvalidArgument(f"fixed coordinates must lie in [0, {m}) "
-                              f"and their values in [0, {q})")
+    return {need_int("a fixed coordinate", i, 0, m - 1): need_int("a fixed value", v, 0, q - 1)
+            for i, v in fixed.items()}
 
 
 def _joint_law(ws, dists: list[EntryDist], fixed: dict[int, int]
@@ -148,7 +145,7 @@ def _joint_law(ws, dists: list[EntryDist], fixed: dict[int, int]
     by dynamic programming over the coordinates; coordinates in `fixed` are
     point masses at their fixed values, the rest independent draws from
     dists[i]."""
-    _check_fixed(fixed, dists)
+    fixed = _check_fixed(fixed, dists)
     f = field_new(dists[0].q)
     law = {(0,) * len(ws): Fraction(1)}
     for i, coeffs in enumerate(zip(*ws)):
@@ -222,8 +219,7 @@ def quad_form_pmf(B, linear, dists: list[EntryDist],
     """Exact distribution of sum_{ij} B[i][j] x_i x_j + sum_i linear[i] x_i,
     by weighted enumeration of all free coordinates: integer weights over
     each law's own denominator, divided out once at the end."""
-    fixed = fixed or {}
-    _check_fixed(fixed, dists)
+    fixed = _check_fixed(fixed or {}, dists)
     m = len(dists)
     q = dists[0].q
     f = field_new(q)

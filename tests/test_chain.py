@@ -242,7 +242,7 @@ def test_enumerate_positive_paths_refuses_x0_below_1():
     for kind in ("symmetric", "alternating"):
         spec = ChainSpec(kind, F3)
         for x0 in (0, -1):
-            with pytest.raises(InvalidArgument, match="x0 >= 1"):
+            with pytest.raises(InvalidArgument, match="x0 must be an integer >= 1"):
                 enumerate_positive_paths(spec, x0, 2)
         assert all(min(path) >= 1 for path, _ in enumerate_positive_paths(spec, 1, 4))
 

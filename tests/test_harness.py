@@ -8,7 +8,7 @@ import pytest
 from fqrank import harness
 from fqrank.chain import ChainSpec, enumerate_positive_paths
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
-from fqrank.errors import InvalidArgument, InvalidSpec, TooLargeToEnumerate
+from fqrank.errors import InvalidArgument, TooLargeToEnumerate
 from fqrank.field import field_new
 from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
                             chain_consistency_check, decoupling_suite, fg_sandwich_check,
@@ -189,7 +189,7 @@ def test_mc_corank_gl_counts_do_not_depend_on_blocks(monkeypatch):
 @pytest.mark.parametrize("trials", [2.5, True, 3.0, "3", None, 0, -1])
 def test_mc_corank_refuses_trials_that_are_not_an_integer(trials):
     spec = ModelSpec(kind="iid-square", field=F3, n=2)
-    with pytest.raises(InvalidSpec, match="trials must be an integer >= 1"):
+    with pytest.raises(InvalidArgument, match="trials must be an integer >= 1"):
         mc_corank(spec, trials, 1)
 
 
@@ -460,7 +460,17 @@ def test_gl_limit_checks_fail_a_point_mass(monkeypatch, group, expected):
 def test_gl_uniformity_small():
     rep = gl_uniformity_check(2, F2, 6000, seed=17)
     assert rep.computed["cells"] == rep.bounds["cells"] == 6
+    assert rep.computed["expected_per_cell"] == 1000 and rep.bounds["expected_min"] == 5
     assert rep.passed
+
+
+def test_gl_uniformity_fails_on_too_few_draws_a_cell():
+    # 10 draws over GL_4(F_2)'s 20,160 cells passed before the floor of 5
+    # expected draws a cell, below which the chi-square law does not hold
+    rep = gl_uniformity_check(4, F2, 10, seed=1)
+    assert rep.computed["cells"] == 20160 and rep.computed["singular"] == 0
+    assert rep.computed["expected_per_cell"] == 10 / 20160
+    assert rep.passed is False
 
 
 @pytest.mark.parametrize("n, q, trials, error", [

@@ -48,7 +48,7 @@ def test_entry_dist_takes_exact_probabilities_only(probs):
 
 @pytest.mark.parametrize("zero_set", [{1.5}, {1.0}, {True}, {"1"}])
 def test_near_uniform_zero_set_takes_integers_only(zero_set):
-    with pytest.raises(InvalidSpec, match="integers"):
+    with pytest.raises(InvalidSpec, match="must be an integer"):
         near_uniform_dist(F3, zero_set)
 
 
