@@ -40,7 +40,7 @@ from .chain import (ChainSpec, delta_pmf, enumerate_positive_paths, evolve,
 from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
 from .errors import InvalidArgument, InvalidSpec, NotPrimePower, TooLargeToEnumerate, need_int
 from .field import Field, _factor_prime_power, field_new
-from .matrix import FqMatrix, rank_rows
+from .matrix import FqMatrix, insert_row, rank_rows
 from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, band_type_f,
                      candidates_per_call, derive_rng, full_rank_stack,
                      near_uniform_dist, ranked_entries, sample_stack,
@@ -168,7 +168,10 @@ def mc_corank(spec: ModelSpec, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
-    """Exact corank PMF by weighted enumeration of all free entries."""
+    """Exact corank PMF by weighted enumeration of all free entries, one row
+    at a time, depth first: each row's free cells are written once, its
+    weight multiplied into its prefix once, and the row inserted once into
+    the echelon rows above it, which every completion below it shares."""
     f = spec.field
     kind = spec.kind
     if kind in GL_KINDS:
@@ -178,22 +181,24 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
     m0 = spec.planted.rows if kind.startswith("planted") else 0
     rows, cols = spec.shape
     # the fixed values, mirrored (negated on alternating kinds), then the corner
-    grid = [0] * (rows * cols)
+    grid = [[0] * cols for _ in range(rows)]
     fixed = spec.type_f.fixed_entries() if spec.type_f else {}
     for (r, c), v in fixed.items():
-        grid[r * cols + c] = v
+        grid[r][c] = v
         if mirror:
-            grid[c * cols + r] = f.neg(v) if alt else v
+            grid[c][r] = f.neg(v) if alt else v
     for i, j in product(range(m0), repeat=2):
-        grid[i * cols + j] = spec.planted.get(i, j)
+        grid[i][j] = spec.planted.get(i, j)
     # free: every cell, or the (strict on alternating kinds) upper triangle,
     # outside the corner and the fixed cells
     taken = set(fixed) | ({(c, r) for r, c in fixed} if mirror else set())
-    positions = [(i, j) for i in range(rows) for j in range(i + alt if mirror else 0, cols)
-                 if (i, j) not in taken and not (i < m0 and j < m0)]
-    e = len(positions)
-    if f.q**e > 10**7:
-        raise TooLargeToEnumerate(f"q^{e} assignments exceed the guard")
+    free = [[j for j in range(i + alt if mirror else 0, cols)
+             if (i, j) not in taken and not (i < m0 and j < m0)] for i in range(rows)]
+    # a law as its support, (value, integer weight over the law's own
+    # denominator) pairs, and that denominator, divided out once at the end
+    def law(d: EntryDist) -> tuple[list[tuple[int, int]], int]:
+        return [(v, w) for v, w in enumerate(d.numerators) if w], d.denominator
+
     # an override below the diagonal is read at its mirror, negated if alternating
     over = {}
     for i, j, d in spec.overrides:
@@ -201,21 +206,41 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
             i, j = j, i
             if alt:
                 d = EntryDist(tuple(d.probs[f.neg(v)] for v in range(f.q)))
-        over[i, j] = d
-    dists = [over.get(pos, spec.default_dist()) for pos in positions]
-    # integer weights over each law's own denominator, divided out once at the end
-    supports = [[(v, w) for v, w in enumerate(d.numerators) if w] for d in dists]
-    scale = math.prod(d.denominator for d in dists)
+        over[i, j] = law(d)
+    default = law(spec.default_dist())
+    laws = [over.get((i, j), default) for i in range(rows) for j in free[i]]
+    assignments = 1  # the product of the support sizes, up to the guard
+    for s, _ in laws:
+        assignments *= len(s)
+        if assignments > 10**7:
+            raise TooLargeToEnumerate(f"{len(laws)} free cells with more than 10^7 "
+                                      "assignments exceed the guard")
+    scale = math.prod(den for _, den in laws)
+    choices = [[over.get((i, j), default)[0] for j in free[i]] for i in range(rows)]
     masses: dict[int, int] = {}
-    for assignment in product(*supports):
-        weight = 1
-        for (i, j), (v, w) in zip(positions, assignment):
-            weight *= w
-            grid[i * cols + j] = v
-            if mirror and i != j:
-                grid[j * cols + i] = f.neg(v) if alt else v
-        corank = rows - rank_rows([grid[i * cols:(i + 1) * cols] for i in range(rows)], f)
-        masses[corank] = masses.get(corank, 0) + weight
+    ech: list = []  # the echelon entries of the rows above the current one
+    above = [(0, 1)] * rows  # len(ech) and the weight above each row of the path
+    walk = [product(*choices[0])]  # one iterator per row of the current path
+    while walk:
+        i = len(walk) - 1
+        assignment = next(walk[i], None)
+        if assignment is None:
+            walk.pop()
+            continue
+        r, w = above[i]
+        row = grid[i]
+        for j, (v, vw) in zip(free[i], assignment):
+            w *= vw
+            row[j] = v
+            if mirror and j != i:
+                grid[j][i] = f.neg(v) if alt else v
+        del ech[r:]
+        insert_row(ech, row, f)
+        if i + 1 < rows:
+            above[i + 1] = len(ech), w
+            walk.append(product(*choices[i + 1]))
+        else:
+            masses[rows - len(ech)] = masses.get(rows - len(ech), 0) + w
     return _pmf({k: Fraction(w, scale) for k, w in masses.items()})
 
 

@@ -74,7 +74,9 @@ def _philox() -> type:
 
 def derive_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, trial), each a signed 64-bit
-    integer."""
+    integer and not a bool, which struct would read as 0 or 1."""
+    if isinstance(seed, bool) or isinstance(trial, bool):
+        raise InvalidArgument("seed and trial must be integers in [-2^63, 2^63), not bools")
     try:
         packed = struct.pack("<qq", seed, trial)
     except struct.error:

@@ -101,7 +101,7 @@ def rho(a, dists: list[EntryDist], F=(), K: float | None = None) -> StructureRep
     q = _one_field(dists)
     a = tuple(need_int("a coordinate", ai, 0, q - 1) for ai in a)
     f = field_new(q)
-    Fset = frozenset(F)
+    Fset = frozenset(need_int("an F index", i, 0, len(a) - 1) for i in F)
     mods = [moduli(d) for d in dists]
     prods = []
     for t in range(1, q):

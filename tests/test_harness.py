@@ -1,6 +1,10 @@
 import json
+import math
+import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ import pytest
 from fqrank import harness
 from fqrank.chain import ChainSpec, enumerate_positive_paths
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
-from fqrank.errors import InvalidArgument, TooLargeToEnumerate
+from fqrank._fast import rank_stack
+from fqrank.errors import InvalidArgument, InvalidSpec, TooLargeToEnumerate
 from fqrank.field import field_new
 from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
                             chain_consistency_check, decoupling_suite, fg_sandwich_check,
@@ -17,7 +22,7 @@ from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
                             submatrix_fullrank_check, threshold_parseval_check,
                             tv_report, unconc_uniform_suite, zero_diag_count_check)
 from fqrank.matrix import FqMatrix
-from fqrank import models
+from fqrank import matrix, models
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, corank_of_sample,
                            derive_rng, near_uniform_dist, ranked_entries,
                            uniform_entry_dist)
@@ -68,6 +73,163 @@ def test_brute_force_overrides_and_type_f_pinned():
 def test_brute_force_guard():
     with pytest.raises(TooLargeToEnumerate):
         brute_force_pmf(ModelSpec(kind="iid-square", field=F5, n=5))
+
+
+def test_brute_force_guard_counts_assignments():
+    # a two-point law on F_9: 9^9 ~ 3.9e8 by a count of q^e, but 2^9 = 512
+    # assignments, which the guard lets run
+    F9 = field_new(9)
+    spec = ModelSpec(kind="iid-square", field=F9, n=3, entries=near_uniform_dist(F9, range(2, 9)))
+    assert brute_force_pmf(spec).as_dict() == _reference_pmf(spec)
+    # 6^9 = 10,077,696 assignments, just above the guard's 10^7
+    F7 = field_new(7)
+    with pytest.raises(TooLargeToEnumerate, match="more than 10\\^7 assignments"):
+        brute_force_pmf(ModelSpec(kind="iid-square", field=F7, n=3,
+                                  entries=near_uniform_dist(F7, {0})))
+
+
+def test_brute_force_walks_more_rows_than_the_recursion_limit():
+    # the walk keeps one iterator per row on a list, not one Python frame
+    n = sys.getrecursionlimit() + 1
+    zero = EntryDist((Fraction(1), Fraction(0)))
+    spec = ModelSpec(kind="symmetric", field=F2, n=n, entries=zero)
+    assert brute_force_pmf(spec).as_dict() == {n: Fraction(1)}
+
+
+def _reference_pmf(spec: ModelSpec) -> dict:
+    """brute_force_pmf's former enumeration, one assignment of all the free
+    cells at a time, each written into the grid and weighted by Fractions;
+    the grids are ranked by the vector kernel, which shares no code with
+    matrix.insert_row."""
+    f, kind = spec.field, spec.kind
+    mirror = kind not in ("iid-square", "iid-rect")
+    alt = "alternating" in kind
+    m0 = spec.planted.rows if kind.startswith("planted") else 0
+    rows, cols = spec.shape
+    grid = [0] * (rows * cols)
+    fixed = spec.type_f.fixed_entries() if spec.type_f else {}
+    for (r, c), v in fixed.items():
+        grid[r * cols + c] = v
+        if mirror:
+            grid[c * cols + r] = f.neg(v) if alt else v
+    for i, j in product(range(m0), repeat=2):
+        grid[i * cols + j] = spec.planted.get(i, j)
+    taken = set(fixed) | ({(c, r) for r, c in fixed} if mirror else set())
+    positions = [(i, j) for i in range(rows) for j in range(i + alt if mirror else 0, cols)
+                 if (i, j) not in taken and not (i < m0 and j < m0)]
+    over = {}
+    for i, j, d in spec.overrides:
+        if mirror and i > j:
+            i, j = j, i
+            if alt:
+                d = EntryDist(tuple(d.probs[f.neg(v)] for v in range(f.q)))
+        over[i, j] = d
+    dists = [over.get(pos, spec.default_dist()) for pos in positions]
+    grids, weights = [], []
+    for assignment in product(*[[(v, p) for v, p in enumerate(d.probs) if p] for d in dists]):
+        weight = Fraction(1)
+        for (i, j), (v, p) in zip(positions, assignment):
+            weight *= p
+            grid[i * cols + j] = v
+            if mirror and i != j:
+                grid[j * cols + i] = f.neg(v) if alt else v
+        grids.append(list(grid))
+        weights.append(weight)
+    coranks = rows - rank_stack(np.array(grids).reshape(-1, rows, cols), f.q)
+    pmf: dict = {}
+    for k, w in zip(coranks.tolist(), weights):
+        pmf[k] = pmf.get(k, 0) + w
+    return pmf
+
+
+def _assignments(spec: ModelSpec) -> int:
+    """The number of assignments brute_force_pmf enumerates: the product of
+    the support sizes of the free cells' laws, read off the spec's own list
+    of cell sources."""
+    rows, cols = spec.shape
+    mirror = spec.kind not in ("iid-square", "iid-rect")
+    sources = spec.cell_sources
+    sizes = [sum(1 for p in sources.get((i, j), spec.default_dist()).probs if p)
+             for i in range(rows) for j in range(i if mirror else 0, cols)
+             if not isinstance(sources.get((i, j)), int)]
+    return math.prod(sizes)
+
+
+def _random_law(rnd: random.Random, q: int) -> EntryDist:
+    """A law on F_q on 1 to 3 random values (or all of them), with random
+    integer masses."""
+    support = rnd.sample(range(q), rnd.choice((1, 2, 2, 3, q)) if q > 3 else rnd.randint(1, q))
+    masses = {v: rnd.randint(1, 4) for v in support}
+    total = sum(masses.values())
+    return EntryDist(tuple(Fraction(masses.get(v, 0), total) for v in range(q)))
+
+
+def _brute_force_grid() -> list[ModelSpec]:
+    """Three seeded random specs of at most 2000 assignments for each
+    non-GL kind and each q in {2, 3, 4, 5, 9} (odd q on alternating kinds):
+    default laws or not, overrides anywhere, F with and without values, and
+    planted corners.  A draw that ModelSpec refuses, or that has more
+    assignments, is drawn again."""
+    rnd = random.Random(29)
+    specs = []
+    for kind in ("iid-square", "iid-rect", "symmetric", "alternating",
+                 "planted-symmetric", "planted-alternating"):
+        for q in (2, 3, 4, 5, 9):
+            if "alternating" in kind and q % 2 == 0:
+                continue
+            f = field_new(q)
+            drawn = 0
+            while drawn < 3:
+                n = rnd.choice((1, 2) if kind == "iid-rect" else (2, 3, 3, 4, 4))
+                m = rnd.randint(0, 2) if kind == "iid-rect" else 0
+                rows, cols = n, n + m
+                planted = None
+                if kind.startswith("planted"):
+                    m0 = rnd.randint(1, n)
+                    planted = FqMatrix.from_rows(f, [[rnd.randrange(q) for _ in range(m0)]
+                                                     for _ in range(m0)])
+                overrides = tuple((rnd.randrange(rows), rnd.randrange(cols), _random_law(rnd, q))
+                                  for _ in range(rnd.randint(0, 3)))
+                type_f = None
+                if rnd.random() < 0.6:
+                    sets = tuple(tuple(sorted(rnd.sample(range(rows), rnd.randint(0, 2) % (rows + 1))))
+                                 for _ in range(cols))
+                    values = (tuple(tuple(rnd.randrange(q) for _ in s) for s in sets)
+                              if rnd.random() < 0.5 else None)
+                    type_f = TypeFSpec(sets, values)
+                entries = (_random_law(rnd, q) if planted is None and rnd.random() < 0.7
+                           else None)
+                try:
+                    spec = ModelSpec(kind=kind, field=f, n=n, m=m, entries=entries,
+                                     overrides=overrides, type_f=type_f, planted=planted)
+                except InvalidSpec:
+                    continue
+                if _assignments(spec) <= 2000:
+                    specs.append(spec)
+                    drawn += 1
+    return specs
+
+
+def test_brute_force_matches_the_reference_enumeration():
+    specs = _brute_force_grid()
+    # what the grid covers: every kind and q, overrides on either side of
+    # the diagonal of a mirrored kind, F with and without values, and
+    # alternating kinds large enough for a symmetric mirror to differ
+    assert {(s.kind, s.field.q) for s in specs} == {
+        (k, q) for k in ("iid-square", "iid-rect", "symmetric", "alternating",
+                         "planted-symmetric", "planted-alternating")
+        for q in (2, 3, 4, 5, 9) if q % 2 or "alternating" not in k}
+    for alt in (False, True):
+        mirrored = [s for s in specs if s.kind.endswith("symmetric") != alt
+                    and s.kind not in ("iid-square", "iid-rect")]
+        assert any(i < j for s in mirrored for i, j, _ in s.overrides)
+        assert any(i > j for s in mirrored for i, j, _ in s.overrides)
+        assert any(s.n >= 3 and s.overrides and s.type_f for s in mirrored)
+    assert any(s.type_f and s.type_f.values for s in specs)
+    assert any(s.type_f and not s.type_f.values for s in specs)
+    assert any(s.kind == "iid-rect" and s.m == 2 for s in specs)
+    for spec in specs:
+        assert brute_force_pmf(spec).as_dict() == _reference_pmf(spec), spec.to_json()
 
 
 def test_mc_corank_concentrates():
@@ -372,10 +534,16 @@ def test_zero_diag_guard_counts_off_diagonal_assignments():
 
 
 def test_zero_diag_even_n_checks_the_identity(monkeypatch):
-    # both routes share rank_rows: a rank capped at 3 makes them agree on 0
-    # full-rank 4 x 4 matrices, and the closed-form size 3 count of 28 catches it
-    rank_rows = harness.rank_rows
-    monkeypatch.setattr(harness, "rank_rows", lambda m, f: min(3, rank_rows(m, f)))
+    # both routes share matrix.insert_row, route one through brute_force_pmf's
+    # walk and route two through rank_rows: a rank capped at 3 makes them agree
+    # on 0 full-rank 4 x 4 matrices, and the closed-form size 3 count of 28
+    # catches it
+    insert_row = matrix.insert_row
+    def capped(ech, row, f):
+        return len(ech) < 3 and insert_row(ech, row, f)
+
+    monkeypatch.setattr(matrix, "insert_row", capped)
+    monkeypatch.setattr(harness, "insert_row", capped)
     rep = zero_diag_count_check(4, F2)
     assert rep.computed == {"via_type_f": 0, "direct": 0, "smaller_full_rank": 28}
     assert not rep.passed

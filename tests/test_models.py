@@ -11,7 +11,7 @@ from itertools import accumulate, product
 import numpy as np
 import pytest
 
-from fqrank.errors import EmptySupport, InvalidSpec, TooLarge
+from fqrank.errors import EmptySupport, InvalidArgument, InvalidSpec, TooLarge
 from fqrank.field import field_new
 from fqrank.harness import mc_corank
 from fqrank.matrix import FqMatrix
@@ -89,6 +89,15 @@ def test_derive_rng_deterministic_and_trial_keyed():
     c = derive_rng(5, 4).integers(0, 1 << 30, 8)
     assert a.tolist() == b.tolist()
     assert a.tolist() != c.tolist()
+
+
+@pytest.mark.parametrize("seed, trial", [(True, 0), (1, False), (np.int64(5), True)])
+def test_derive_rng_refuses_bools(seed, trial):
+    # struct reads True as 1: derive_rng(True) drew the stream of seed 1
+    with pytest.raises(InvalidArgument):
+        derive_rng(seed, trial)
+    with pytest.raises(InvalidArgument):
+        models.sample(ModelSpec(kind="symmetric", field=field_new(3), n=2), seed, trial)
 
 
 def test_derive_rng_streams_pinned():

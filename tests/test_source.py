@@ -52,3 +52,15 @@ def test_import_graph(name, forbidden):
     harness that checks them against Monte Carlo."""
     imported = _package_imports(Path(fqrank.__file__).parent / name)
     assert not (imported if forbidden is None else imported & forbidden), sorted(imported)
+
+
+def test_only_the_two_eliminations_read_a_field_inverse():
+    """A pivot needs a field inverse, so only the two eliminations read one:
+    matrix.insert_row, the scalar step that FqMatrix, rank_rows and
+    brute_force_pmf share, and _fast.rank_stack, the vector kernel.  Reading
+    `inv` or `div` anywhere else would start a second pivot loop.  field.py
+    defines both."""
+    readers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Attribute) and node.attr in ("inv", "div")}
+    assert readers == {"field.py", "matrix.py", "_fast.py"}, sorted(readers)

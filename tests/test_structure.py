@@ -96,6 +96,13 @@ def test_rho_coordinates_in_range():
             rho(a, dists)
 
 
+@pytest.mark.parametrize("F", [(1.5, "x"), (2,), (-1,), (True,), (0, 1.0)])
+def test_rho_refuses_f_indices_it_cannot_read(F):
+    # rho((1, 1), [HALF, HALF], F=(1.5, "x")) returned the value with no F
+    with pytest.raises(InvalidArgument):
+        rho((1, 1), [HALF, HALF], F=F)
+
+
 def test_linear_form_pmf_against_enumeration():
     dists = [HALF, near_uniform_dist(F3, {2}), uniform_entry_dist(F3)]
     a = (1, 2, 1)
