@@ -11,6 +11,8 @@ Field.vec carries the same arithmetic over numpy arrays of elements, from
 the same tables, in one class per field type (prime, binary extension, odd
 extension).  The scalar methods add, neg, mul, inv and trace branch on k:
 prime fields take ordinary arithmetic mod p, extension fields the tables.
+add_multiple, the row update of the scalar elimination step, branches once
+per row instead of once per entry.  No other module reads the tables.
 
 The reducing modulus is the lexicographically least monic irreducible
 polynomial of degree k over F_p (compared as coefficient tuples from the
@@ -176,9 +178,10 @@ class Field:
             exp_arr = np.concatenate([exp_arr, times_g[exp_arr]])
             times_g = times_g[times_g]
         exp_arr = exp_arr[:q - 1]
-        # the zero-marked layout that add(), mul() and Field.vec read: log[0] =
-        # Z = 2(q-1) and exp is zero from index Z on, so a product with a zero
-        # factor lands on 0; zech, built from log, is Z where 1 + g^n = 0
+        # the zero-marked layout that add(), mul(), add_multiple() and Field.vec
+        # read: log[0] = Z = 2(q-1) and exp is zero from index Z on, so a
+        # product with a zero factor lands on 0; zech, built from log, is Z
+        # where 1 + g^n = 0
         zero = 2 * (q - 1)
         self._exp = exp_arr.tolist() * 2 + [0] * (zero + 1)
         log_arr = np.full(q, zero, dtype=np.int64)
@@ -210,6 +213,22 @@ class Field:
             return a or b
         la = self._log[a]
         return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
+
+    def add_multiple(self, row: list[int], c: int, other: list[int]) -> list[int]:
+        """row + c*other as a new list: an elimination's row update, one
+        comprehension per field type.  Prime fields reduce once per entry and
+        F_{2^k} XORs a table product, with no method call per entry; the
+        zero-marked tables give c*0 = 0 without a branch.  Odd extensions
+        still add through the Zech logarithm, one add call per entry."""
+        if self.k == 1:
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(row, other)]
+        exp, log = self._exp, self._log
+        lc = log[c]
+        if self.p == 2:
+            return [x ^ exp[lc + log[y]] for x, y in zip(row, other)]
+        add = self.add
+        return [add(x, exp[lc + log[y]]) for x, y in zip(row, other)]
 
     def neg(self, a: int) -> int:
         if self.k == 1:

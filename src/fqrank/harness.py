@@ -171,7 +171,12 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
     """Exact corank PMF by weighted enumeration of all free entries, one row
     at a time, depth first: each row's free cells are written once, its
     weight multiplied into its prefix once, and the row inserted once into
-    the echelon rows above it, which every completion below it shares."""
+    the echelon rows above it, which every completion below it shares.  The
+    walk stops one row short: the last row's assignments and their integer
+    weights are listed once, and each prefix of the rows above closes in one
+    loop that sums the weight of the last rows that reduce to zero against
+    its echelon rows, which leave the corank where it is; the rest add a
+    pivot.  A one-row spec closes once, without a walk."""
     f = spec.field
     kind = spec.kind
     if kind in GL_KINDS:
@@ -217,10 +222,29 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
                                       "assignments exceed the guard")
     scale = math.prod(den for _, den in laws)
     choices = [[over.get((i, j), default)[0] for j in free[i]] for i in range(rows)]
-    masses: dict[int, int] = {}
+    last = [(tuple(v for v, _ in a), math.prod(w for _, w in a)) for a in product(*choices[-1])]
+    total = sum(w for _, w in last)
+    masses: Counter = Counter()
     ech: list = []  # the echelon entries of the rows above the current one
+
+    def close(w: int) -> None:
+        """Weigh the last row's assignments against ech, the echelon entries
+        of a prefix of weight w."""
+        r, row, zero = len(ech), grid[-1], 0
+        for values, lw in last:
+            for j, v in zip(free[-1], values):
+                row[j] = v
+            if insert_row(ech, row, f):
+                ech.pop()
+            else:
+                zero += lw
+        masses[rows - r] += w * zero
+        masses[rows - r - 1] += w * (total - zero)
+
     above = [(0, 1)] * rows  # len(ech) and the weight above each row of the path
-    walk = [product(*choices[0])]  # one iterator per row of the current path
+    walk = [product(*choices[0])] if rows > 1 else []  # one iterator per row of the path
+    if not walk:
+        close(1)
     while walk:
         i = len(walk) - 1
         assignment = next(walk[i], None)
@@ -236,12 +260,12 @@ def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
                 grid[j][i] = f.neg(v) if alt else v
         del ech[r:]
         insert_row(ech, row, f)
-        if i + 1 < rows:
+        if i + 2 < rows:
             above[i + 1] = len(ech), w
             walk.append(product(*choices[i + 1]))
         else:
-            masses[rows - len(ech)] = masses.get(rows - len(ech), 0) + w
-    return _pmf({k: Fraction(w, scale) for k, w in masses.items()})
+            close(w)
+    return _pmf({k: Fraction(w, scale) for k, w in masses.items() if w})
 
 
 # ---------------------------------------------------------------------------

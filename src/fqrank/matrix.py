@@ -1,19 +1,23 @@
 """Dense matrices over F_q with exact rank / RREF / nullspace services.
 
 Matrices are immutable: entries live in a flat row-major tuple of element
-representatives.  insert_row is the one scalar elimination step: it reduces
-a row against the echelon rows inserted before it.  rank, rref, nullspace
-and in_span insert a matrix's rows through _eliminate, rank_rows those of
-plain row lists without building (and range-checking) an FqMatrix, and
-brute_force_pmf each row of its walk once; over an exact field there is
-nothing to stabilize.
+representatives, Python ints in [0, q).  insert_row is the one scalar
+elimination step: it reduces a row against the echelon rows inserted before
+it.  rank, rref, nullspace and in_span insert a matrix's rows through
+_eliminate, rank_rows those of plain row lists without building (and
+range-checking) an FqMatrix, and brute_force_pmf each row of its walk once,
+and each assignment of its last row once per prefix; over an exact field
+there is nothing to stabilize.  Every row update, in insert_row and in
+rref's clearing above a pivot, is one Field.add_multiple call, which builds
+row + c*other without a Field method call per entry on prime fields and on
+F_{2^k}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import DimensionMismatch, InvalidArgument, need_int
 from .field import Field
 
 
@@ -30,8 +34,12 @@ class FqMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        if any(not (0 <= e < self.field.q) for e in self.entries):
-            raise InvalidArgument("entry out of range for the field")
+        q = self.field.q
+        if not all(type(e) is int and 0 <= e < q for e in self.entries):
+            # a numpy integer is kept as the int it equals; a bool, a
+            # non-integer and an entry outside [0, q) are refused
+            object.__setattr__(self, "entries", tuple(
+                need_int("entry", e, 0, q - 1) for e in self.entries))
 
     # -- constructors ---------------------------------------------------------
 
@@ -120,13 +128,10 @@ def insert_row(ech: list[tuple[int, int, list[int]]], row: list[int], f: Field) 
     the pivots of the entries before them, and append row's entry at its first
     nonzero column unless it reduced to zero; returns whether it did.  No row
     is rescaled, and row itself is not written: a reduced row is a new list."""
-    add, mul = f.add, f.mul
     for c, inv, prow in ech:
         a = row[c]
         if a:
-            # row - (a / pivot) prow: f.add and f.mul per entry (f.sub is two calls)
-            coef = f.neg(mul(a, inv))
-            row = [add(x, mul(coef, y)) for x, y in zip(row, prow)]
+            row = f.add_multiple(row, f.neg(f.mul(a, inv)), prow)  # row - (a / pivot) prow
     for c, x in enumerate(row):
         if x:
             ech.append((c, f.inv(x), row))
@@ -152,8 +157,7 @@ def _eliminate(m: list[list[int]], f: Field, reduce: bool = False) -> list[int]:
         for k, (c, _, _) in enumerate(ech):
             for i in range(k):
                 if red[i][c]:
-                    coef = f.neg(red[i][c])
-                    red[i] = [f.add(x, f.mul(coef, y)) for x, y in zip(red[i], red[k])]
+                    red[i] = f.add_multiple(red[i], f.neg(red[i][c]), red[k])
         m[:] = red + [[0] * cols for _ in range(len(m) - len(red))]
     return [c for c, _, _ in ech]
 

@@ -167,3 +167,32 @@ def test_field_cache_and_equality():
         data = pickle.dumps(f)
         assert len(data) < 1024
         assert pickle.loads(data) is field_new(q)
+
+
+def _add_multiple_reference(f, row, c, other):
+    """The per-entry row update that Field.add_multiple replaces."""
+    return [f.add(x, f.mul(c, y)) for x, y in zip(row, other)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 256])
+def test_add_multiple_matches_the_per_entry_update_for_every_c(q):
+    # every c != 0 against rows that hold zeros, in row, other or both
+    f = field_new(q)
+    rnd = random.Random(q)
+    for c in range(1, q):
+        row = [rnd.randrange(q) for _ in range(6)] + [0, 0, rnd.randrange(1, q)]
+        other = [rnd.randrange(q) for _ in range(6)] + [0, rnd.randrange(1, q), 0]
+        out = f.add_multiple(row, c, other)
+        assert out == _add_multiple_reference(f, row, c, other)
+        assert out is not row and out is not other
+
+
+@pytest.mark.parametrize("q", [6561, 65521, 65536])
+def test_add_multiple_matches_the_per_entry_update_on_large_fields(q):
+    f = field_new(q)
+    rnd = random.Random(q)
+    for _ in range(200):
+        row = [rnd.choice((0, rnd.randrange(q))) for _ in range(8)]
+        other = [rnd.choice((0, rnd.randrange(q))) for _ in range(8)]
+        c = rnd.randrange(1, q)
+        assert f.add_multiple(row, c, other) == _add_multiple_reference(f, row, c, other)

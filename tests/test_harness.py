@@ -232,6 +232,55 @@ def test_brute_force_matches_the_reference_enumeration():
         assert brute_force_pmf(spec).as_dict() == _reference_pmf(spec), spec.to_json()
 
 
+def _one_row_specs() -> list[ModelSpec]:
+    """Every one-row spec of a small grid that ModelSpec accepts: n = 1 for
+    each non-GL kind, iid-rect with m = 0, 1 and 2, and the planted kinds'
+    1 x 1 corner; without F, with F on the first cell (fixed to 0 or to a
+    value) or on the last, and with or without an override of the last
+    cell, over the default law and a non-uniform one."""
+    specs = []
+    for q in (3, 4, 5):
+        f = field_new(q)
+        law = EntryDist(tuple(Fraction(v + 1, q * (q + 1) // 2) for v in range(q)))
+        for kind, m in product(("iid-square", "iid-rect", "symmetric", "alternating",
+                                "planted-symmetric", "planted-alternating"), (0, 1, 2)):
+            if (m and kind != "iid-rect") or ("alternating" in kind and q % 2 == 0):
+                continue
+            cols = 1 + m
+            planted = (FqMatrix.from_rows(f, [[0 if "alternating" in kind else q - 1]])
+                       if kind.startswith("planted") else None)
+            first = ((0,),) + ((),) * m
+            last = ((),) * m + ((0,),)
+            for type_f, over, entries in product(
+                    (None, TypeFSpec(first), TypeFSpec(first, ((1,),) + ((),) * m),
+                     TypeFSpec(last, ((),) * m + ((q - 1,),))),
+                    ((), ((0, cols - 1, near_uniform_dist(f, {1})),)),
+                    (None,) if planted else (None, law)):
+                try:
+                    specs.append(ModelSpec(kind=kind, field=f, n=1, m=m, type_f=type_f,
+                                           overrides=over, entries=entries, planted=planted))
+                except InvalidSpec:
+                    continue  # a second source for one cell, or F in the corner
+    return specs
+
+
+def test_brute_force_one_row_specs_match_the_reference_enumeration():
+    # a one-row spec closes its last row once, without walking a prefix
+    specs = _one_row_specs()
+    assert {s.kind for s in specs} == {"iid-square", "iid-rect", "symmetric", "alternating",
+                                       "planted-symmetric", "planted-alternating"}
+    assert {s.m for s in specs if s.kind == "iid-rect"} == {0, 1, 2}
+    # F and an override together where the one row has room for both; a 1 x 1
+    # corner leaves no free cell for either, so ModelSpec refuses them there
+    for kind in ("iid-square", "iid-rect", "symmetric"):
+        assert any(s.kind == kind and s.type_f and s.type_f.values for s in specs)
+        assert any(s.kind == kind and s.overrides for s in specs)
+    assert any(s.kind == "iid-rect" and s.type_f and s.overrides for s in specs)
+    assert any(s.kind == "alternating" and s.type_f for s in specs)
+    for spec in specs:
+        assert brute_force_pmf(spec).as_dict() == _reference_pmf(spec), spec.to_json()
+
+
 def test_mc_corank_concentrates():
     spec = ModelSpec(kind="iid-square", field=F2, n=2)
     res = mc_corank(spec, 20000, seed=3)

@@ -1,11 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqrank._fast import rank_mod_p, rank_stack
-from fqrank.errors import DimensionMismatch
+from fqrank.errors import DimensionMismatch, InvalidArgument
 from fqrank.field import field_new
-from fqrank.matrix import FqMatrix, dumps_matrix, in_span, loads_matrix
+from fqrank.matrix import FqMatrix, dumps_matrix, in_span, insert_row, loads_matrix
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -17,6 +19,20 @@ def test_shape_validation():
         FqMatrix(F2, 2, 2, (0, 1, 0))
     with pytest.raises(ValueError):
         FqMatrix(F2, 1, 1, (2,))
+
+
+@pytest.mark.parametrize("entries", [(1.5, True), (1, True), (0, 1.0), (0, "1"), (0, None),
+                                     (np.int64(1), 3), (-1, 0)])
+def test_entries_must_be_field_integers(entries):
+    # a bool or a float passes a range check alone, and then fails in rank()
+    with pytest.raises(InvalidArgument, match="entry must be an integer in \\[0, 2\\]"):
+        FqMatrix(F3, 1, 2, entries)
+
+
+def test_numpy_integer_entries_are_stored_as_ints():
+    M = FqMatrix(F3, 1, 3, (np.int64(2), np.uint8(1), 0))
+    assert M.entries == (2, 1, 0) and all(type(e) is int for e in M.entries)
+    assert M == FqMatrix(F3, 1, 3, (2, 1, 0)) and M.rank() == 1
 
 
 def test_identity_and_zero():
@@ -310,3 +326,36 @@ def test_oracle_self_consistency(M, data):
     W = np.array(M.entries, dtype=np.int64).reshape(1, M.rows, M.cols)
     aug = np.concatenate([W, np.array(x, dtype=np.int64).reshape(1, M.rows, 1)], axis=2)
     assert in_span(M, x) == (rank_stack(aug, q)[0] == rank_stack(W, q)[0])
+
+
+def _insert_row_reference(ech, row, f):
+    """insert_row's former row update, f.add and f.mul per entry."""
+    for c, inv, prow in ech:
+        a = row[c]
+        if a:
+            coef = f.neg(f.mul(a, inv))
+            row = [f.add(x, f.mul(coef, y)) for x, y in zip(row, prow)]
+    for c, x in enumerate(row):
+        if x:
+            ech.append((c, f.inv(x), row))
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 256, 6561, 65521, 65536])
+def test_insert_row_builds_the_reference_echelon_entries(q):
+    # seeded random rows, zero-heavy half the time, so that rows also reduce
+    # to zero; each insertion must return and append what the reference does
+    f = field_new(q)
+    rnd = random.Random(q)
+    for _ in range(30):
+        rows, cols = rnd.randint(1, 7), rnd.randint(1, 7)
+        sparse = rnd.random() < 0.5
+        m = [[rnd.choice((0, 0, 0, rnd.randrange(q))) if sparse else rnd.randrange(q)
+              for _ in range(cols)] for _ in range(rows)]
+        if rows > 1:
+            m[-1] = f.add_multiple(m[0], rnd.randrange(q), m[-2])  # in the span
+        ech, ref = [], []
+        for row in m:
+            assert insert_row(ech, list(row), f) == _insert_row_reference(ref, list(row), f)
+            assert ech == ref

@@ -64,3 +64,14 @@ def test_only_the_two_eliminations_read_a_field_inverse():
                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                if isinstance(node, ast.Attribute) and node.attr in ("inv", "div")}
     assert readers == {"field.py", "matrix.py", "_fast.py"}, sorted(readers)
+
+
+def test_only_field_reads_the_field_tables():
+    """Table arithmetic stays in field.py: the scalar methods, add_multiple
+    and Field.vec read the log, exp, negation and Zech tables, and every other
+    module asks a Field for its arithmetic instead."""
+    readers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("_log", "_exp", "_neg", "_zech")}
+    assert readers == {"field.py"}, sorted(readers)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from fqrank.errors import CodimensionTooLarge, DimensionMismatch, InvalidArgument
@@ -131,6 +132,23 @@ def test_subspace_prob_basics():
     assert subspace_prob(full, dists) == 1
     # hyperplane x0 + x1 + x2 = 0 under uniform entries: 1/q
     H = [(1, 0, 2), (0, 1, 2)]
+    assert subspace_prob(H, dists) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 3, "1"])
+def test_subspace_prob_refuses_h_basis_entries_outside_the_field(bad):
+    # the H basis becomes an FqMatrix, which refuses the entry before its
+    # nullspace is taken
+    dists = [uniform_entry_dist(F3)] * 3
+    with pytest.raises(InvalidArgument, match="entry must be an integer"):
+        subspace_prob([(1, bad, 0), (0, 1, 2)], dists)
+    with pytest.raises(InvalidArgument, match="entry must be an integer"):
+        check_unconc_implies_uniform([(1, bad, 0), (0, 1, 2)], dists)
+
+
+def test_subspace_prob_takes_numpy_integer_h_basis():
+    dists = [uniform_entry_dist(F3)] * 3
+    H = [(np.int64(1), np.int8(0), np.uint16(2)), (0, np.int32(1), 2)]
     assert subspace_prob(H, dists) == Fraction(1, 3)
 
 
