@@ -250,9 +250,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)

@@ -1,4 +1,5 @@
-"""Monte Carlo estimation, enumeration oracles, and verification suites.
+"""Monte Carlo estimation and verification suites; the exact enumeration
+oracle that some of them call, brute_force_pmf, is in oracles.
 
 Trial t of a run seeded with s draws from the stream keyed by (s, t), so a
 worker pool can split the trial range arbitrarily: accumulation is a
@@ -37,14 +38,15 @@ import numpy as np
 from ._fast import rank_stack
 from .chain import (ChainSpec, delta_pmf, enumerate_positive_paths, evolve,
                     hit_zero_prob, most_likely_positive_path, planted_pmf)
-from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf, _pmf
-from .errors import InvalidArgument, InvalidSpec, NotPrimePower, TooLargeToEnumerate, need_int
+from .distributions import CorankPMF, limit_pmf, tv_distance, uniform_pmf
+from .errors import InvalidArgument, NotPrimePower, TooLargeToEnumerate, need_int
 from .field import Field, _factor_prime_power, field_new
-from .matrix import FqMatrix, insert_row, rank_rows
-from .models import (GL_KINDS, EntryDist, ModelSpec, TypeFSpec, band_type_f,
+from .matrix import FqMatrix, rank_rows
+from .models import (EntryDist, ModelSpec, TypeFSpec, band_type_f,
                      candidates_per_call, derive_rng, full_rank_stack,
                      near_uniform_dist, ranked_entries, sample_stack,
                      uniform_entry_dist)
+from .oracles import brute_force_pmf
 from .structure import (SLACK, check_decoupling, check_unconc_implies_uniform,
                         moduli, threshold_set)
 
@@ -161,111 +163,6 @@ def mc_corank(spec: ModelSpec, trials: int, seed: int,
             for fut in futures:
                 counts.update(fut.result())
     return MCResult.from_counts(counts, trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# brute-force enumeration oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_pmf(spec: ModelSpec) -> CorankPMF:
-    """Exact corank PMF by weighted enumeration of all free entries, one row
-    at a time, depth first: each row's free cells are written once, its
-    weight multiplied into its prefix once, and the row inserted once into
-    the echelon rows above it, which every completion below it shares.  The
-    walk stops one row short: the last row's assignments and their integer
-    weights are listed once, and each prefix of the rows above closes in one
-    loop that sums the weight of the last rows that reduce to zero against
-    its echelon rows, which leave the corank where it is; the rest add a
-    pivot.  A one-row spec closes once, without a walk."""
-    f = spec.field
-    kind = spec.kind
-    if kind in GL_KINDS:
-        raise InvalidSpec(f"brute force enumeration not defined for kind {kind!r}")
-    mirror = kind not in ("iid-square", "iid-rect")
-    alt = "alternating" in kind
-    m0 = spec.planted.rows if kind.startswith("planted") else 0
-    rows, cols = spec.shape
-    # the fixed values, mirrored (negated on alternating kinds), then the corner
-    grid = [[0] * cols for _ in range(rows)]
-    fixed = spec.type_f.fixed_entries() if spec.type_f else {}
-    for (r, c), v in fixed.items():
-        grid[r][c] = v
-        if mirror:
-            grid[c][r] = f.neg(v) if alt else v
-    for i, j in product(range(m0), repeat=2):
-        grid[i][j] = spec.planted.get(i, j)
-    # free: every cell, or the (strict on alternating kinds) upper triangle,
-    # outside the corner and the fixed cells
-    taken = set(fixed) | ({(c, r) for r, c in fixed} if mirror else set())
-    free = [[j for j in range(i + alt if mirror else 0, cols)
-             if (i, j) not in taken and not (i < m0 and j < m0)] for i in range(rows)]
-    # a law as its support, (value, integer weight over the law's own
-    # denominator) pairs, and that denominator, divided out once at the end
-    def law(d: EntryDist) -> tuple[list[tuple[int, int]], int]:
-        return [(v, w) for v, w in enumerate(d.numerators) if w], d.denominator
-
-    # an override below the diagonal is read at its mirror, negated if alternating
-    over = {}
-    for i, j, d in spec.overrides:
-        if mirror and i > j:
-            i, j = j, i
-            if alt:
-                d = EntryDist(tuple(d.probs[f.neg(v)] for v in range(f.q)))
-        over[i, j] = law(d)
-    default = law(spec.default_dist())
-    laws = [over.get((i, j), default) for i in range(rows) for j in free[i]]
-    assignments = 1  # the product of the support sizes, up to the guard
-    for s, _ in laws:
-        assignments *= len(s)
-        if assignments > 10**7:
-            raise TooLargeToEnumerate(f"{len(laws)} free cells with more than 10^7 "
-                                      "assignments exceed the guard")
-    scale = math.prod(den for _, den in laws)
-    choices = [[over.get((i, j), default)[0] for j in free[i]] for i in range(rows)]
-    last = [(tuple(v for v, _ in a), math.prod(w for _, w in a)) for a in product(*choices[-1])]
-    total = sum(w for _, w in last)
-    masses: Counter = Counter()
-    ech: list = []  # the echelon entries of the rows above the current one
-
-    def close(w: int) -> None:
-        """Weigh the last row's assignments against ech, the echelon entries
-        of a prefix of weight w."""
-        r, row, zero = len(ech), grid[-1], 0
-        for values, lw in last:
-            for j, v in zip(free[-1], values):
-                row[j] = v
-            if insert_row(ech, row, f):
-                ech.pop()
-            else:
-                zero += lw
-        masses[rows - r] += w * zero
-        masses[rows - r - 1] += w * (total - zero)
-
-    above = [(0, 1)] * rows  # len(ech) and the weight above each row of the path
-    walk = [product(*choices[0])] if rows > 1 else []  # one iterator per row of the path
-    if not walk:
-        close(1)
-    while walk:
-        i = len(walk) - 1
-        assignment = next(walk[i], None)
-        if assignment is None:
-            walk.pop()
-            continue
-        r, w = above[i]
-        row = grid[i]
-        for j, (v, vw) in zip(free[i], assignment):
-            w *= vw
-            row[j] = v
-            if mirror and j != i:
-                grid[j][i] = f.neg(v) if alt else v
-        del ech[r:]
-        insert_row(ech, row, f)
-        if i + 2 < rows:
-            above[i + 1] = len(ech), w
-            walk.append(product(*choices[i + 1]))
-        else:
-            close(w)
-    return _pmf({k: Fraction(w, scale) for k, w in masses.items() if w})
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 Matrices are immutable: entries live in a flat row-major tuple of element
 representatives, Python ints in [0, q).  insert_row is the one scalar
 elimination step: it reduces a row against the echelon rows inserted before
-it.  rank, rref, nullspace and in_span insert a matrix's rows through
-_eliminate, rank_rows those of plain row lists without building (and
-range-checking) an FqMatrix, and brute_force_pmf each row of its walk once,
-and each assignment of its last row once per prefix; over an exact field
-there is nothing to stabilize.  Every row update, in insert_row and in
-rref's clearing above a pivot, is one Field.add_multiple call, which builds
-row + c*other without a Field method call per entry on prime fields and on
-F_{2^k}.
+it.  FqMatrix.rref (and through it nullspace) inserts a matrix's rows,
+rank_rows (and through it FqMatrix.rank) those of plain row lists without
+building (and range-checking) an FqMatrix, and oracles.brute_force_pmf each
+row of its walk once, and each assignment of its last row once per prefix;
+over an exact field there is nothing to stabilize.  Every row update, in
+insert_row and in rref's clearing above a pivot, is one Field.add_multiple
+call, which builds row + c*other without a Field method call per entry on
+prime fields and on F_{2^k}.
 """
 
 from __future__ import annotations
@@ -62,30 +62,27 @@ class FqMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.get(i, j) == self.get(j, i)
-            for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
-
-    def is_alternating(self) -> bool:
-        f = self.field
-        if self.rows != self.cols:
-            return False
-        if any(self.get(i, i) != 0 for i in range(self.rows)):
-            return False
-        return all(
-            self.get(j, i) == f.neg(self.get(i, j))
-            for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
-
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["FqMatrix", list[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        m = self.to_lists()
-        pivots = _eliminate(m, self.field, reduce=True)
-        return FqMatrix.from_rows(self.field, m) if m else self, pivots
+        """Reduced row echelon form, the pivot rows in pivot order and then
+        zero rows, and the sorted pivot columns: insert_row inserts the rows
+        until every column holds a pivot, then each pivot row is scaled to a
+        leading 1 and cleared above."""
+        f = self.field
+        ech: list[tuple[int, int, list[int]]] = []
+        for row in self.to_lists():
+            if len(ech) == self.cols:
+                break
+            insert_row(ech, row, f)
+        ech.sort()
+        red = [[f.mul(inv, x) for x in row] for _, inv, row in ech]
+        for k, (c, _, _) in enumerate(ech):
+            for i in range(k):
+                if red[i][c]:
+                    red[i] = f.add_multiple(red[i], f.neg(red[i][c]), red[k])
+        red += [[0] * self.cols] * (self.rows - len(red))
+        return FqMatrix.from_rows(f, red) if red else self, [c for c, _, _ in ech]
 
     def rank(self) -> int:
         return rank_rows(self.to_lists(), self.field)
@@ -108,19 +105,6 @@ class FqMatrix:
             basis.append(tuple(v))
         return basis
 
-    def matvec(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        f = self.field
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length != cols")
-        out = []
-        for i in range(self.rows):
-            acc = 0
-            for j, x in enumerate(v):
-                if x:
-                    acc = f.add(acc, f.mul(self.get(i, j), x))
-            out.append(acc)
-        return tuple(out)
-
 
 def insert_row(ech: list[tuple[int, int, list[int]]], row: list[int], f: Field) -> bool:
     """One elimination step: reduce row against ech, a list of (pivot column,
@@ -139,48 +123,16 @@ def insert_row(ech: list[tuple[int, int, list[int]]], row: list[int], f: Field) 
     return False
 
 
-def _eliminate(m: list[list[int]], f: Field, reduce: bool = False) -> list[int]:
-    """Insert the rows of m one at a time by insert_row, stopping once every
-    column holds a pivot, and return the pivot columns, sorted.  With
-    reduce, each pivot row is then scaled to a leading 1 and cleared above,
-    and m is rewritten in place as its reduced row echelon form: the pivot
-    rows in pivot order, then zero rows."""
-    ech: list[tuple[int, int, list[int]]] = []
-    cols = len(m[0]) if m else 0
-    for row in m:
-        if len(ech) == cols:
-            break
-        insert_row(ech, row, f)
-    ech.sort()
-    if reduce:
-        red = [[f.mul(inv, x) for x in row] for _, inv, row in ech]
-        for k, (c, _, _) in enumerate(ech):
-            for i in range(k):
-                if red[i][c]:
-                    red[i] = f.add_multiple(red[i], f.neg(red[i][c]), red[k])
-        m[:] = red + [[0] * cols for _ in range(len(m) - len(red))]
-    return [c for c, _, _ in ech]
-
-
 def rank_rows(m: list[list[int]], f: Field) -> int:
     """Rank of the row lists m, whose entries must already lie in [0, q): the
     entry point for enumerations that build many matrices from known values
     and would pay FqMatrix's range check on each.  m is not written.  It
-    inserts the rows itself: _eliminate's sort and pivot list would make a
+    only counts the echelon entries: rref's sort and pivot list would make a
     2 x 2 rank, a lone GL draw's, about 30% slower."""
     ech: list[tuple[int, int, list[int]]] = []
     for row in m:
         insert_row(ech, row, f)
     return len(ech)
-
-
-def in_span(W: FqMatrix, x: tuple[int, ...] | list[int]) -> bool:
-    """True iff x lies in the column span of W: one elimination of [W | x],
-    in which x's column gets no pivot."""
-    if len(x) != W.rows:
-        raise DimensionMismatch(f"vector length {len(x)} != {W.rows} rows")
-    aug = FqMatrix.from_rows(W.field, [[*W.row(i), x[i]] for i in range(W.rows)])
-    return W.cols not in _eliminate(aug.to_lists(), W.field)
 
 
 # -- fixture text format ------------------------------------------------------

@@ -8,15 +8,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from fqrank import harness
+from fqrank import harness, oracles
 from fqrank.chain import ChainSpec, enumerate_positive_paths
 from fqrank.distributions import limit_square_pmf, tv_distance, uniform_square_pmf
 from fqrank._fast import rank_stack
 from fqrank.errors import InvalidArgument, InvalidSpec, TooLargeToEnumerate
 from fqrank.field import field_new
-from fqrank.harness import (_BLOCK_ENTRIES, MCResult, brute_force_pmf,
-                            chain_consistency_check, decoupling_suite, fg_sandwich_check,
+from fqrank.harness import (_BLOCK_ENTRIES, MCResult, chain_consistency_check,
+                            decoupling_suite, fg_sandwich_check,
                             formula_enumeration_check, gl_uniformity_check,
                             mc_corank, mc_limit_check, odlyzko_check,
                             submatrix_fullrank_check, threshold_parseval_check,
@@ -26,6 +27,7 @@ from fqrank import matrix, models
 from fqrank.models import (EntryDist, ModelSpec, TypeFSpec, corank_of_sample,
                            derive_rng, near_uniform_dist, ranked_entries,
                            uniform_entry_dist)
+from fqrank.oracles import brute_force_pmf
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -68,6 +70,14 @@ def test_brute_force_overrides_and_type_f_pinned():
                      type_f=TypeFSpec(((1,), (2,), ()), ((2,), (0,), ())))
     assert brute_force_pmf(spec).as_dict() == {
         0: Fraction(57, 80), 1: Fraction(179, 630), 2: Fraction(17, 5040)}
+
+
+def test_brute_force_refuses_gl_kinds():
+    # a GL draw is one rejection-sampled matrix, not independent cells
+    for spec in (ModelSpec(kind="uniform-gl", field=F3, n=2),
+                 ModelSpec(kind="gl-corner", field=F3, n=3, n_prime=2)):
+        with pytest.raises(InvalidSpec, match="not defined for kind"):
+            brute_force_pmf(spec)
 
 
 def test_brute_force_guard():
@@ -279,6 +289,107 @@ def test_brute_force_one_row_specs_match_the_reference_enumeration():
     assert any(s.kind == "alternating" and s.type_f for s in specs)
     for spec in specs:
         assert brute_force_pmf(spec).as_dict() == _reference_pmf(spec), spec.to_json()
+
+
+def test_harness_still_exports_brute_force_pmf():
+    # the benchmark calls the oracle as harness.brute_force_pmf
+    assert harness.brute_force_pmf is oracles.brute_force_pmf
+
+
+def _check_cell_table(spec: ModelSpec) -> None:
+    """oracles.cell_table against ModelSpec.cell_sources, two independent
+    readings of one spec: each cell the table lists holds the fixed value,
+    or the law as (value, weight) pairs over its denominator, that
+    cell_sources gives it (the default law where it gives none), and on a
+    mirrored kind the cell below it holds its mirror image, negated if
+    alternating."""
+    f, (rows, cols) = spec.field, spec.shape
+    mirror = spec.kind not in ("iid-square", "iid-rect")
+    alt = "alternating" in spec.kind
+    sources = spec.cell_sources
+
+    def read(x):
+        if isinstance(x, EntryDist):
+            return [(v, w) for v, w in enumerate(x.numerators) if w], x.denominator
+        return x
+
+    def image(x):  # the value or law that mirrors x
+        if not alt:
+            return x
+        if isinstance(x, int):
+            return f.neg(x)
+        return sorted((f.neg(v), w) for v, w in x[0]), x[1]
+
+    table = oracles.cell_table(spec)
+    assert set(table) == {(i, j) for i in range(rows) for j in range(i if mirror else 0, cols)}
+    for (i, j), x in table.items():
+        assert x == read(sources.get((i, j), spec.default_dist())), (i, j)
+        if mirror and i != j:
+            if (j, i) in sources:
+                assert image(x) == read(sources[j, i]), (j, i)
+            else:  # a default cell on both sides
+                assert (i, j) not in sources, (i, j)
+
+
+def test_cell_table_agrees_with_cell_sources():
+    for spec in _brute_force_grid() + _one_row_specs():
+        _check_cell_table(spec)
+
+
+@st.composite
+def _spec_dicts(draw) -> dict:
+    """Spec-shaped dicts, as ModelSpec.from_json reads them, with every value
+    in range: a non-GL kind, at most 4 rows, F with or without values,
+    overrides anywhere and, on planted kinds, a symmetric or alternating
+    corner.  A cell given two different sources still makes ModelSpec
+    refuse one."""
+    kind = draw(st.sampled_from(("iid-square", "iid-rect", "symmetric", "alternating",
+                                 "planted-symmetric", "planted-alternating")))
+    alt = "alternating" in kind
+    q = draw(st.sampled_from((3, 5, 9) if alt else (2, 3, 4, 5, 9)))
+    n = draw(st.integers(1, 4))
+    cols = n + (draw(st.integers(0, 2)) if kind == "iid-rect" else 0)
+    law = st.lists(st.integers(0, 3), min_size=q, max_size=q).filter(any).map(
+        lambda ws: [f"{w}/{sum(ws)}" for w in ws])
+    sets = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2, unique=True),
+                         max_size=cols))
+    obj = {"kind": kind, "q": q, "n": n, "m": cols - n, "F": sets, "entries": {
+        "overrides": draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, cols - 1),
+                                             law), max_size=3))}}
+    if draw(st.booleans()):
+        obj["F_values"] = [draw(st.lists(st.integers(0, q - 1), min_size=len(s),
+                                         max_size=len(s))) for s in sets]
+    if kind.startswith("planted"):
+        f, m0 = field_new(q), draw(st.integers(1, n))
+        corner = [[0] * m0 for _ in range(m0)]
+        for i, j in product(range(m0), repeat=2):
+            if i < j or (i == j and not alt):
+                corner[i][j] = corner[j][i] = draw(st.integers(0, q - 1))
+                if alt:
+                    corner[j][i] = f.neg(corner[i][j])
+        obj["planted"] = " ".join(map(str, [q, m0, m0, *sum(corner, [])]))
+    elif draw(st.booleans()):
+        obj["entries"]["default"] = draw(law)
+    return obj
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_spec_dicts())
+def test_cell_table_agrees_with_cell_sources_on_drawn_specs(obj):
+    try:
+        spec = ModelSpec.from_json(obj)
+    except InvalidSpec:
+        reject()
+    _check_cell_table(spec)
+
+
+def test_cell_table_check_catches_an_unnegated_mirror(monkeypatch):
+    # a table that mirrors a value or a law given below an alternating
+    # diagonal without negating it fails the check on the grid
+    monkeypatch.setattr(oracles, "_negated", lambda f, x: x)
+    with pytest.raises(AssertionError):
+        for spec in _brute_force_grid():
+            _check_cell_table(spec)
 
 
 def test_mc_corank_concentrates():
@@ -583,16 +694,16 @@ def test_zero_diag_guard_counts_off_diagonal_assignments():
 
 
 def test_zero_diag_even_n_checks_the_identity(monkeypatch):
-    # both routes share matrix.insert_row, route one through brute_force_pmf's
-    # walk and route two through rank_rows: a rank capped at 3 makes them agree
-    # on 0 full-rank 4 x 4 matrices, and the closed-form size 3 count of 28
-    # catches it
+    # both routes share matrix.insert_row, route one through the walk of
+    # oracles.brute_force_pmf and route two through rank_rows: a rank capped
+    # at 3 makes them agree on 0 full-rank 4 x 4 matrices, and the
+    # closed-form size 3 count of 28 catches it
     insert_row = matrix.insert_row
     def capped(ech, row, f):
         return len(ech) < 3 and insert_row(ech, row, f)
 
     monkeypatch.setattr(matrix, "insert_row", capped)
-    monkeypatch.setattr(harness, "insert_row", capped)
+    monkeypatch.setattr(oracles, "insert_row", capped)
     rep = zero_diag_count_check(4, F2)
     assert rep.computed == {"via_type_f": 0, "direct": 0, "smaller_full_rank": 28}
     assert not rep.passed
